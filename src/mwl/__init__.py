@@ -24,8 +24,6 @@ from .homopoly import (
     HomoPoly,
     from_text,
     is_nonneg_integer_poly,
-    poly_equal,
-    poly_sub,
     substitute_transform,
     to_text,
 )
@@ -45,7 +43,6 @@ from .identity import (
 )
 from .krawtchouk import (
     KrawtchoukParams,
-    coefficient_transform,
     krawtchouk,
     krawtchouk_matrix,
     orthogonality_check,

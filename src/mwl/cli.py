@@ -1,8 +1,8 @@
 """Command-line front end with deterministic text output.
 
-Exit codes for check/shiromoto: 0 = Holds, 1 = Fails, 2 = NotWellFormed or
-StructurallyImpossible, 3 = usage or runtime error. All other commands exit
-0 on success and 3 on error.
+Exit codes for check/shiromoto: 0 = Holds, 1 = Fails, 2 = NotWellFormed,
+3 = usage or runtime error. All other commands exit 0 on success and 3 on
+error.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _EXIT_BY_STATUS = {
     IdentityStatus.HOLDS: 0,
     IdentityStatus.FAILS: 1,
     IdentityStatus.NOT_WELL_FORMED: 2,
-    IdentityStatus.STRUCTURALLY_IMPOSSIBLE: 2,
 }
 
 
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BudgetExceeded, ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

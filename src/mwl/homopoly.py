@@ -3,13 +3,19 @@
 A polynomial of degree D is stored as the coefficient list c_0 ... c_D of
 sum_i c_i x^(D-i) y^i. All coefficients are fractions.Fraction, so equality
 checks are exact.
+
+`krawtchouk_columns` is the single integer kernel behind every
+MacWilliams-style expansion in the package: it streams the y-coefficients of
+(x + (t-1)y)^(D-i) (x - y)^i, which are the Krawtchouk values K_k(i; D, t).
+`substitute_transform` sums these columns and `krawtchouk.krawtchouk_matrix`
+transposes them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, lcm
+from typing import Iterable, Iterator
 
 from .errors import DegreeMismatch
 
@@ -66,25 +72,38 @@ class HomoPoly:
         return to_text(self)
 
 
-def poly_equal(p: HomoPoly, q: HomoPoly) -> bool:
-    """True iff degrees match and all coefficients agree exactly."""
-    return p.degree == q.degree and p.coeffs == q.coeffs
-
-
-def poly_sub(p: HomoPoly, q: HomoPoly) -> HomoPoly:
-    return p - q
-
-
 def is_nonneg_integer_poly(p: HomoPoly) -> bool:
     """True iff every coefficient is a nonnegative integer."""
     return all(c.denominator == 1 and c >= 0 for c in p.coeffs)
+
+
+def krawtchouk_columns(degree: int, multiplier: int) -> Iterator[list[int]]:
+    """Yield, for i = 0..degree, the y-coefficients of (x + (t-1)y)^(D-i) (x - y)^i.
+
+    Column i holds K_0(i) ... K_D(i) for length D and alphabet size t. Column
+    0 is C(D, k) (t-1)^k; each later column is the previous one times (1 - z),
+    divided exactly by (1 + (t-1)z). Python ints only, valid for every t >= 1.
+    """
+    u = multiplier - 1
+    col = [comb(degree, k) * u**k for k in range(degree + 1)]
+    yield col
+    for _ in range(degree):
+        nxt, b_prev, c_prev = [], 0, 0
+        for b in col:
+            c_prev = b - b_prev - u * c_prev
+            b_prev = b
+            nxt.append(c_prev)
+        col = nxt
+        yield col
 
 
 def substitute_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
     """Expand (1/scale) * p(x + (multiplier-1) y, x - y) exactly.
 
     This is the substitution behind MacWilliams-style transforms; the degree
-    is preserved and coefficients stay exact rationals.
+    is preserved and coefficients stay exact rationals. The coefficients are
+    put over one common denominator and the Krawtchouk columns summed in
+    integers, with a single division per output coefficient.
     """
     t = int(multiplier)
     s = int(scale)
@@ -92,22 +111,13 @@ def substitute_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
         raise ValueError(f"multiplier must be >= 1, got {multiplier}")
     if s < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
-    D = p.degree
-    out = [Fraction(0)] * (D + 1)
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        a, b = D - i, i
-        # (x + (t-1)y)^a * (x - y)^b, gathered by total y-power
-        first = [comb(a, u) * (t - 1) ** u for u in range(a + 1)]
-        second = [comb(b, v) * (-1) ** v for v in range(b + 1)]
-        for u, fu in enumerate(first):
-            if fu == 0:
-                continue
-            cf = c * fu
-            for v, sv in enumerate(second):
-                out[u + v] += cf * sv
-    return HomoPoly(c / s for c in out)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    out = [0] * (p.degree + 1)
+    for c, col in zip(p.coeffs, krawtchouk_columns(p.degree, t)):
+        num = c.numerator * (den // c.denominator)
+        if num:
+            out = [o + num * v for o, v in zip(out, col)]
+    return HomoPoly(Fraction(v, den * s) for v in out)
 
 
 def to_text(p: HomoPoly) -> str:

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .errors import BudgetExceeded
 from .gray import canonical_gray_map, is_bijective_extension, make_field
-from .homopoly import HomoPoly, is_nonneg_integer_poly, poly_equal, substitute_transform
+from .homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from .weights import WeightKind, weight_enumerator
 from .zmod import (
     EXHAUSTIVE_CAP,
@@ -26,14 +26,11 @@ from .zmod import (
 class IdentityStatus(Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
-    STRUCTURALLY_IMPOSSIBLE = "StructurallyImpossible"
     NOT_WELL_FORMED = "NotWellFormed"
 
 
 class VerdictReason(Enum):
     MULTIPLIER_NOT_INTEGRAL = "MultiplierNotIntegral"
-    NO_BIJECTIVE_GRAY_MAP = "NoBijectiveGrayMap"
-    TRANSFORM_NOT_ENUMERATOR = "TransformNotEnumerator"
     VERIFIED = "Verified"
 
 
@@ -135,7 +132,7 @@ def check_identity(query: IdentityQuery, budget: int | None = None) -> IdentityV
     right = substitute_transform(
         weight_enumerator(code, kind, budget), t, code.cardinality(budget)
     )
-    if poly_equal(left, right):
+    if left == right:
         return IdentityVerdict(IdentityStatus.HOLDS, VerdictReason.VERIFIED)
     return IdentityVerdict(IdentityStatus.FAILS, VerdictReason.VERIFIED, right - left)
 
@@ -221,5 +218,5 @@ def verify_identity_conditions(
         bijective_gray=is_bijective_extension(gmap),
         transform_is_enumerator=is_nonneg_integer_poly(transformed)
         and transformed.coefficient(0) == 1,
-        dual_match=poly_equal(transformed, dual_enum),
+        dual_match=transformed == dual_enum,
     )

@@ -1,6 +1,8 @@
-"""Krawtchouk polynomials at integer points and the coefficient-space transform.
+"""Krawtchouk polynomials at integer points.
 
-Values are computed straight from the defining sum with exact big-integer
+The matrix comes from the integer kernel `homopoly.krawtchouk_columns`, the
+same one behind the substitution transform. Only `krawtchouk` still computes
+single values straight from the defining sum with exact big-integer
 binomials: K_k(x) = sum_j (-1)^j (q-1)^(k-j) C(x, j) C(n-x, k-j).
 """
 
@@ -12,7 +14,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import BudgetExceeded, LengthMismatch, OutOfRange
-from .homopoly import HomoPoly, substitute_transform
+from .homopoly import HomoPoly, krawtchouk_columns, substitute_transform
 
 ORTHOGONALITY_MAX_N = 64
 
@@ -44,8 +46,7 @@ def krawtchouk(k: int, x: int, params: KrawtchoukParams) -> int:
 
 def krawtchouk_matrix(params: KrawtchoukParams) -> list[list[int]]:
     """The (n+1) x (n+1) matrix with entry [k][j] = K_k(j)."""
-    n = params.n
-    return [[krawtchouk(k, j, params) for j in range(n + 1)] for k in range(n + 1)]
+    return [list(row) for row in zip(*krawtchouk_columns(params.n, params.q))]
 
 
 def orthogonality_check(params: KrawtchoukParams, max_n: int = ORTHOGONALITY_MAX_N) -> bool:
@@ -63,28 +64,19 @@ def orthogonality_check(params: KrawtchoukParams, max_n: int = ORTHOGONALITY_MAX
     return True
 
 
-def coefficient_transform(
-    counts: Sequence[int], params: KrawtchoukParams, size: int
-) -> tuple[Fraction, ...]:
-    """A'_k = (1/size) sum_j counts[j] K_k(j), as exact rationals."""
+def transforms_agree(counts: Sequence[int], params: KrawtchoukParams, size: int) -> bool:
+    """Cross-check: the defining-sum transform against the substitution route.
+
+    Computes A'_k = (1/size) sum_j counts[j] K_k(j) with `krawtchouk` value by
+    value and compares it exactly with `substitute_transform`; this should
+    hold for every input, so it doubles as an internal consistency oracle.
+    """
     n = params.n
     if len(counts) != n + 1:
         raise LengthMismatch(f"expected {n + 1} counts, got {len(counts)}")
-    if size < 1:
-        raise ValueError(f"size must be a positive integer, got {size}")
-    K = krawtchouk_matrix(params)
-    return tuple(
-        Fraction(sum(counts[j] * K[k][j] for j in range(n + 1)), size)
+    poly = substitute_transform(HomoPoly(counts), params.q, size)
+    via_sum = tuple(
+        Fraction(sum(counts[j] * krawtchouk(k, j, params) for j in range(n + 1)), size)
         for k in range(n + 1)
     )
-
-
-def transforms_agree(counts: Sequence[int], params: KrawtchoukParams, size: int) -> bool:
-    """Cross-check: the coefficient transform against the substitution route.
-
-    Runs both computations independently and compares exactly; this should
-    hold for every input, so it doubles as an internal consistency oracle.
-    """
-    via_coeffs = coefficient_transform(counts, params, size)
-    poly = substitute_transform(HomoPoly(counts), params.q, size)
-    return via_coeffs == poly.coeffs
+    return via_sum == poly.coeffs

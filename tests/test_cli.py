@@ -236,3 +236,12 @@ def test_env_budget(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MWL_BUDGET", "100000")
     code, _, _ = run(capsys, ["dual", "--code", str(big)])
     assert code == 0
+
+
+def test_overflow_exits_3(capsys, tmp_path):
+    # numpy cannot hold residues of 2^64; that is an error, not a verdict
+    big = tmp_path / "big.txt"
+    big.write_text(f"modulus {2**64}\nlength 2\ngen {2**62} {2**63}\n")
+    code, out, err = run(capsys, ["enumerate", "--code", str(big)])
+    assert code == 3
+    assert out == "" and err.startswith("error:")

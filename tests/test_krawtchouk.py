@@ -1,4 +1,4 @@
-"""Tests for Krawtchouk values, orthogonality, and the coefficient transform."""
+"""Tests for Krawtchouk values, orthogonality, and the coefficient-space transform."""
 
 import random
 from fractions import Fraction
@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from mwl.errors import BudgetExceeded, LengthMismatch, OutOfRange
+from mwl.homopoly import HomoPoly, substitute_transform
 from mwl.krawtchouk import (
     KrawtchoukParams,
-    coefficient_transform,
     krawtchouk,
     krawtchouk_matrix,
     orthogonality_check,
@@ -77,23 +77,27 @@ def test_orthogonality_budget():
     assert orthogonality_check(KrawtchoukParams(n=12, q=2), max_n=12)
 
 
+def transformed_counts(counts, q, size):
+    """A'_k = (1/size) sum_j counts[j] K_k(j), through the substitution transform."""
+    return substitute_transform(HomoPoly(counts), q, size).coeffs
+
+
 def test_coefficient_transform_zero_code():
-    params = KrawtchoukParams(n=5, q=3)
     counts = (1, 0, 0, 0, 0, 0)
-    out = coefficient_transform(counts, params, 1)
+    out = transformed_counts(counts, 3, 1)
     assert out == tuple(Fraction(2**k * comb(5, k)) for k in range(6))
 
 
 def test_coefficient_transform_examples():
-    out = coefficient_transform((1, 0, 1), KrawtchoukParams(n=2, q=2), 2)
+    out = transformed_counts((1, 0, 1), 2, 2)
     assert out == (Fraction(1), Fraction(0), Fraction(1))
-    out = coefficient_transform((1, 0, 0, 1), KrawtchoukParams(n=3, q=2), 2)
+    out = transformed_counts((1, 0, 0, 1), 2, 2)
     assert out == (Fraction(1), Fraction(0), Fraction(3), Fraction(0))
 
 
 def test_coefficient_transform_length_mismatch():
     with pytest.raises(LengthMismatch):
-        coefficient_transform((1, 0), KrawtchoukParams(n=2, q=2), 1)
+        transforms_agree((1, 0), KrawtchoukParams(n=2, q=2), 1)
 
 
 def test_transforms_agree_examples():
@@ -117,10 +121,9 @@ def test_double_transform_is_identity():
     rng = random.Random(55)
     for q in (2, 3, 4):
         for n in (1, 3, 5):
-            params = KrawtchoukParams(n=n, q=q)
             counts = tuple(rng.randint(0, 9) for _ in range(n + 1))
-            once = coefficient_transform(counts, params, 1)
-            twice = coefficient_transform(once, params, q**n)
+            once = transformed_counts(counts, q, 1)
+            twice = transformed_counts(once, q, q**n)
             assert twice == tuple(Fraction(c) for c in counts)
 
 
@@ -128,3 +131,9 @@ def test_matrix_shape():
     mat = krawtchouk_matrix(KrawtchoukParams(n=4, q=3))
     assert len(mat) == 5 and all(len(row) == 5 for row in mat)
     assert mat[0] == [1, 1, 1, 1, 1]
+    # the kernel's columns against the defining sum, entry by entry
+    for q in range(2, 8):
+        for n in range(15):
+            params = KrawtchoukParams(n=n, q=q)
+            expected = [[krawtchouk(k, j, params) for j in range(n + 1)] for k in range(n + 1)]
+            assert krawtchouk_matrix(params) == expected, (n, q)
