@@ -61,9 +61,6 @@ from .zmod import (
     EXHAUSTIVE_CAP,
     LinearCode,
     all_linear_codes,
-    cardinality,
-    dual_code,
-    enumerate_codewords,
     format_code_spec,
     parse_code_spec,
     resolve_budget,

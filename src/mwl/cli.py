@@ -193,7 +193,6 @@ def _build_parser() -> _Parser:
     p = add("kraw", cmd_kraw, "Krawtchouk value matrix K_k(j)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="accepted for compatibility")
 
     p = add("transform", cmd_transform, "apply the substitution transform to a polynomial")
     p.add_argument("--poly", required=True, help="polynomial in 'deg D; i:c ...' form")

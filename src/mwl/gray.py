@@ -24,15 +24,18 @@ _IRREDUCIBLES: dict[int, tuple[int, tuple[int, ...]]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def prime_base(q: int) -> int | None:
+    """The prime p with q = p^k for some k >= 1, or None if q is not a prime power."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return p if q == 1 else None
+        p += 1
+    return q  # no divisor up to sqrt(q): q itself is prime
 
 
 class Field:
@@ -85,7 +88,7 @@ def _label(digs: Sequence[int], p: int) -> int:
 def make_field(m: int) -> Field:
     """Field with m elements: any prime, or 4, 8, 9, 16 via fixed irreducibles."""
     m = int(m)
-    if _is_prime(m):
+    if prime_base(m) == m:
         add = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
         mul = tuple(tuple((a * b) % m for b in range(m)) for a in range(m))
         return Field(m, m, add, mul)

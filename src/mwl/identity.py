@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetExceeded
-from .gray import canonical_gray_map, is_bijective_extension, make_field
+from .gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
 from .homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from .weights import WeightKind, weight_enumerator
 from .zmod import (
@@ -85,16 +85,7 @@ def _int_root(x: int, k: int) -> int:
 
 
 def is_prime_power(t: int) -> bool:
-    if t < 2:
-        return False
-    p = 2
-    while p * p <= t:
-        if t % p == 0:
-            while t % p == 0:
-                t //= p
-            return t == 1
-        p += 1
-    return True  # t itself is prime
+    return prime_base(t) is not None
 
 
 def _kind_exponent(ell: int, kind: WeightKind) -> int:

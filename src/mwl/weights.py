@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import BudgetExceeded, LengthMismatch
 from .homopoly import HomoPoly, is_nonneg_integer_poly
-from .zmod import LinearCode
+from .zmod import LinearCode, resolve_budget
 
 
 class WeightKind(Enum):
@@ -55,10 +55,6 @@ def vector_weight(v: Sequence[int], ell: int, kind: WeightKind) -> int:
     return sum(kind.of_residue(a, ell) for a in v)
 
 
-def _weight_table(ell: int, kind: WeightKind) -> np.ndarray:
-    return np.array([kind.of_residue(a, ell) for a in range(ell)], dtype=np.int64)
-
-
 class WeightDistribution:
     """Exact codeword counts per weight 0..scale*n for one weight kind."""
 
@@ -81,12 +77,25 @@ class WeightDistribution:
     def from_code(
         cls, code: LinearCode, kind: WeightKind, budget: int | None = None
     ) -> "WeightDistribution":
-        arr = code.codeword_array(budget)
-        table = _weight_table(code.ell, kind)
-        wts = table[arr].sum(axis=1)
-        deg = kind.scale(code.ell) * code.length
+        ell = code.ell
+        deg = kind.scale(ell) * code.length
+        limit = resolve_budget(budget)
+        if deg + 1 > limit:
+            raise BudgetExceeded(
+                f"{kind.value} enumerator over Z_{ell}^{code.length} has {deg + 1} "
+                f"coefficients, beyond the budget of {limit}"
+            )
+        W = code.codeword_array(budget)
+        if kind is WeightKind.HAMMING:
+            per_residue = W != 0
+        else:
+            per_residue = np.minimum(W, ell - W)
+            if kind is WeightKind.EUCLIDEAN:
+                per_residue = per_residue * per_residue
+        # each row sum is at most deg, which the budget keeps within int64
+        wts = per_residue.sum(axis=1).astype(np.int64, copy=False)
         counts = np.bincount(wts, minlength=deg + 1)
-        return cls(kind, code.ell, code.length, counts.tolist())
+        return cls(kind, ell, code.length, counts.tolist())
 
     @classmethod
     def from_poly(

@@ -60,13 +60,26 @@ def _vector_chunks(ell: int, n: int, chunk: int = _CHUNK) -> Iterator[np.ndarray
         yield np.stack([(idx // p) % ell for p in pows], axis=1)
 
 
+def _dtype_for(bound: int) -> type:
+    """int64 if every intermediate value is at most `bound`, else exact Python ints."""
+    return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+def _sorted_unique_rows(a: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D array in lexicographic order (int64 or object)."""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
 class LinearCode:
     """Additive subgroup of Z_ell^n described by a list of generators.
 
     Value semantics: two codes are equal iff modulus, length, and codeword
-    set agree, no matter which generators produced them. Instances are
-    immutable apart from internal caching of the enumerated codeword set,
-    so they are safe to share across threads.
+    set agree, no matter which generators produced them. The codewords are
+    held once, as the lex-sorted matrix of `codeword_array`; instances are
+    immutable apart from caching it, so they are safe to share across threads.
     """
 
     def __init__(self, ell: int, length: int, generators: Iterable[Sequence[int]] = ()):
@@ -83,24 +96,27 @@ class LinearCode:
                 )
             gens.append(row)
         self.generators: tuple[tuple[int, ...], ...] = tuple(gens)
-        self._codewords: tuple[tuple[int, ...], ...] | None = None
-        self._codeword_set: frozenset[tuple[int, ...]] | None = None
         self._cw_array: np.ndarray | None = None
 
     @classmethod
     def _from_codeword_array(cls, ell: int, length: int, arr: np.ndarray) -> "LinearCode":
-        """Build a code whose full codeword list is already known (lex-sorted)."""
-        rows = tuple(map(tuple, arr.tolist()))
-        code = cls(ell, length, rows)
-        code._codewords = rows
+        """Build a code from its lex-sorted codeword matrix; the rows become its generators."""
+        code = cls(ell, length)
+        code.generators = tuple(map(tuple, arr.tolist()))
         code._cw_array = arr
         return code
 
     def _span_array(self, budget: int | None) -> np.ndarray:
-        """Closure of the generators, as a lex-sorted int64 array of rows."""
+        """Closure of the generators, as a lex-sorted matrix of rows.
+
+        Each multiple t*g (0 <= t < r, the order of g) is reduced mod ell before
+        it is added, so a sum of two residues, at most 2*(ell - 1), is the
+        largest value the rows ever hold.
+        """
         ell, n = self.ell, self.length
         limit = resolve_budget(budget)
-        cur = np.zeros((1, n), dtype=np.int64)
+        dtype = _dtype_for(2 * (ell - 1))
+        cur = np.zeros((1, n), dtype=dtype)
         count = 1
         for g in self.generators:
             r = _vector_order(g, ell)
@@ -111,41 +127,26 @@ class LinearCode:
                 raise BudgetExceeded(
                     f"span of code over Z_{ell}^{n} needs > {limit} candidate vectors"
                 )
-            garr = np.asarray(g, dtype=np.int64)
-            blocks = [cur]
-            # slab over t to bound peak allocation
-            step = max(1, min(r - 1, _CHUNK // max(1, len(cur))))
-            t = 1
-            while t < r:
-                ts = np.arange(t, min(r, t + step), dtype=np.int64)
-                blocks.append(
-                    ((cur[None, :, :] + ts[:, None, None] * garr) % ell).reshape(-1, n)
-                )
-                t += step
-            cur = np.unique(np.vstack(blocks), axis=0)
+            mdtype = _dtype_for((r - 1) * (ell - 1))
+            ts = np.arange(r, dtype=mdtype)[:, None]
+            multiples = (ts * np.array(g, dtype=mdtype) % ell).astype(dtype)
+            words = (cur[None, :, :] + multiples[:, None, :]).reshape(-1, n)
+            words[words >= ell] -= ell
+            cur = _sorted_unique_rows(words)
         return cur
 
     def codeword_array(self, budget: int | None = None) -> np.ndarray:
+        """All codewords as rows of a lex-sorted matrix: int64, or object past int64."""
         if self._cw_array is None:
             self._cw_array = self._span_array(budget)
         return self._cw_array
 
     def codewords(self, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
         """All codewords, lexicographically sorted (canonical order)."""
-        if self._codewords is None:
-            self._codewords = tuple(map(tuple, self.codeword_array(budget).tolist()))
-        return self._codewords
-
-    def codeword_set(self, budget: int | None = None) -> frozenset[tuple[int, ...]]:
-        if self._codeword_set is None:
-            self._codeword_set = frozenset(self.codewords(budget))
-        return self._codeword_set
+        return tuple(map(tuple, self.codeword_array(budget).tolist()))
 
     def cardinality(self, budget: int | None = None) -> int:
-        return len(self.codewords(budget))
-
-    def contains(self, v: Sequence[int], budget: int | None = None) -> bool:
-        return tuple(int(e) % self.ell for e in v) in self.codeword_set(budget)
+        return len(self.codeword_array(budget))
 
     def dual(self, budget: int | None = None) -> "LinearCode":
         """All vectors orthogonal to this code under the standard inner product.
@@ -160,14 +161,12 @@ class LinearCode:
             raise BudgetExceeded(
                 f"dual over Z_{ell}^{n} scans {total} vectors, beyond the budget"
             )
-        G = np.asarray(self.generators, dtype=np.int64).reshape(-1, n)
+        dtype = _dtype_for(n * (ell - 1) ** 2)
+        G = np.array(self.generators, dtype=dtype).reshape(-1, n)
         kept = []
         for chunk in _vector_chunks(ell, n):
             if len(G):
-                if n * (ell - 1) ** 2 < 2**62:
-                    rem = (chunk @ G.T) % ell
-                else:  # keep the dot products exact for absurdly large moduli
-                    rem = (chunk.astype(object) @ G.T.astype(object)) % ell
+                rem = (chunk.astype(dtype, copy=False) @ G.T) % ell
                 chunk = chunk[~rem.astype(bool).any(axis=1)]
             kept.append(chunk)
         return LinearCode._from_codeword_array(ell, n, np.vstack(kept))
@@ -178,27 +177,14 @@ class LinearCode:
         return (
             self.ell == other.ell
             and self.length == other.length
-            and self.codeword_set() == other.codeword_set()
+            and np.array_equal(self.codeword_array(), other.codeword_array())
         )
 
     def __hash__(self) -> int:
-        return hash((self.ell, self.length, self.codewords()))
+        return hash((self.ell, self.length, tuple(self.codeword_array().ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"LinearCode(ell={self.ell}, length={self.length}, generators={self.generators!r})"
-
-
-def enumerate_codewords(code: LinearCode, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """The additive span of the generators, deduplicated and lex-sorted."""
-    return code.codewords(budget)
-
-
-def dual_code(code: LinearCode, budget: int | None = None) -> LinearCode:
-    return code.dual(budget)
-
-
-def cardinality(code: LinearCode, budget: int | None = None) -> int:
-    return code.cardinality(budget)
 
 
 def all_linear_codes(ell: int, length: int, budget: int | None = None) -> Iterator[LinearCode]:
@@ -286,9 +272,7 @@ def _all_codes(ell: int, n: int) -> tuple[LinearCode, ...]:
     codes = []
     for K, gens in ordered:
         code = LinearCode(ell, n, tuple(tuple(digits[g].tolist()) for g in gens))
-        arr = digits[K]
-        code._cw_array = arr
-        code._codewords = tuple(map(tuple, arr.tolist()))
+        code._cw_array = digits[K]
         codes.append(code)
     return tuple(codes)
 

@@ -8,6 +8,7 @@ from mwl.cli import main
 
 Z6_CODE = "modulus 6\nlength 1\ngen 3\n"
 Z4_CODE = "modulus 4\nlength 1\ngen 2\n"
+BIG_MODULUS_CODE = f"modulus {3 * 2**61}\nlength 1\ngen {3 * 2**59}\ngen {2**61}\n"
 
 
 @pytest.fixture
@@ -102,8 +103,8 @@ def test_kraw_matrix(capsys):
     code, out, _ = run(capsys, ["kraw", "--q", "2", "--n", "2"])
     assert code == 0
     assert out == "1\t1\t1\n2\t0\t-2\n1\t-1\t1\n"
-    code, out_table, _ = run(capsys, ["kraw", "--q", "2", "--n", "2", "--table"])
-    assert out_table == out
+    code, _, err = run(capsys, ["kraw", "--q", "2", "--n", "2", "--table"])
+    assert code == 3 and err
 
 
 def test_transform(capsys):
@@ -238,10 +239,38 @@ def test_env_budget(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
-def test_overflow_exits_3(capsys, tmp_path):
-    # numpy cannot hold residues of 2^64; that is an error, not a verdict
+def test_overflow_exits_3(capsys):
+    # a degree past sys.maxsize cannot size a coefficient list: an error, not a verdict
+    code, out, err = run(capsys, ["transform", "--poly", f"deg {2**64}; 0:1", "--m", "2"])
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
+def test_enumerate_big_moduli(capsys, tmp_path):
+    # residues at and above 2^63 are held as exact Python ints
     big = tmp_path / "big.txt"
     big.write_text(f"modulus {2**64}\nlength 2\ngen {2**62} {2**63}\n")
     code, out, err = run(capsys, ["enumerate", "--code", str(big)])
+    assert code == 0 and err == ""
+    assert out == f"0 0\n{2**62} {2**63}\n{2**63} 0\n{3 * 2**62} {2**63}\n"
+    big.write_text(BIG_MODULUS_CODE)
+    code, out, _ = run(capsys, ["enumerate", "--code", str(big)])
+    assert code == 0
+    assert out == "".join(f"{i * 2**59}\n" for i in range(12))
+
+
+def test_wenum_lee_big_modulus_exceeds_budget(capsys, tmp_path):
+    # the Lee enumerator would have floor(ell/2) + 1 coefficients
+    big = tmp_path / "big.txt"
+    big.write_text(BIG_MODULUS_CODE)
+    code, out, err = run(capsys, ["wenum", "--code", str(big), "--weight", "lee"])
     assert code == 3
     assert out == "" and err.startswith("error:")
+
+
+def test_wenum_hamming_big_modulus(capsys, tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text(BIG_MODULUS_CODE)
+    code, out, _ = run(capsys, ["wenum", "--code", str(big), "--weight", "hamming"])
+    assert code == 0
+    assert out == "deg 1; 0:1 1:11\n|C| = 12\n"

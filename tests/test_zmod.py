@@ -1,16 +1,16 @@
 """Tests for Z_ell vector spans, duals, and the exhaustive subgroup stream."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from mwl.errors import BudgetExceeded
 from mwl.zmod import (
     LinearCode,
+    _dtype_for,
     all_linear_codes,
-    cardinality,
-    dual_code,
-    enumerate_codewords,
     format_code_spec,
     parse_code_spec,
 )
@@ -19,18 +19,18 @@ from oracles import brute_all_subgroups, brute_dual, brute_span
 
 
 def test_span_order2_element():
-    assert set(enumerate_codewords(LinearCode(4, 1, [(2,)]))) == {(0,), (2,)}
+    assert set(LinearCode(4, 1, [(2,)]).codewords()) == {(0,), (2,)}
 
 
 def test_span_three_mod_six():
-    assert set(enumerate_codewords(LinearCode(6, 1, [(3,)]))) == {(0,), (3,)}
+    assert set(LinearCode(6, 1, [(3,)]).codewords()) == {(0,), (3,)}
 
 
 def test_span_diagonal_z4():
     code = LinearCode(4, 2, [(1, 1)])
     expected = {(0, 0), (1, 1), (2, 2), (3, 3)}
-    assert set(enumerate_codewords(code)) == expected
-    assert set(enumerate_codewords(code)) == brute_span([(1, 1)], 4, 2)
+    assert set(code.codewords()) == expected
+    assert set(code.codewords()) == brute_span([(1, 1)], 4, 2)
 
 
 def test_span_matches_bruteforce_random():
@@ -51,18 +51,18 @@ def test_span_is_sorted_and_contains_zero():
 
 
 def test_dual_examples():
-    assert set(dual_code(LinearCode(4, 1, [(2,)])).codewords()) == {(0,), (2,)}
-    assert set(dual_code(LinearCode(6, 1, [(3,)])).codewords()) == {(0,), (2,), (4,)}
-    assert set(dual_code(LinearCode(4, 1, [(1,)])).codewords()) == {(0,)}
+    assert set(LinearCode(4, 1, [(2,)]).dual().codewords()) == {(0,), (2,)}
+    assert set(LinearCode(6, 1, [(3,)]).dual().codewords()) == {(0,), (2,), (4,)}
+    assert set(LinearCode(4, 1, [(1,)]).dual().codewords()) == {(0,)}
 
 
 def test_dual_of_zero_code_is_full_space():
     code = LinearCode(3, 2)
-    assert dual_code(code).cardinality() == 9
+    assert code.dual().cardinality() == 9
 
 
 def test_dual_generator_list_is_codeword_list():
-    dual = dual_code(LinearCode(6, 1, [(3,)]))
+    dual = LinearCode(6, 1, [(3,)]).dual()
     assert dual.generators == dual.codewords()
 
 
@@ -77,9 +77,9 @@ def test_dual_matches_bruteforce_random():
 
 
 def test_cardinality_examples():
-    assert cardinality(LinearCode(5, 3)) == 1
-    assert cardinality(LinearCode(4, 1, [(1,)])) == 4
-    assert cardinality(LinearCode(6, 2, [(2, 0), (0, 3)])) == 6
+    assert LinearCode(5, 3).cardinality() == 1
+    assert LinearCode(4, 1, [(1,)]).cardinality() == 4
+    assert LinearCode(6, 2, [(2, 0), (0, 3)]).cardinality() == 6
 
 
 def test_all_linear_codes_counts():
@@ -105,7 +105,7 @@ def test_all_linear_codes_canonical_order():
 def test_subgroup_closure_invariant():
     for ell in (2, 3, 4, 5, 6):
         for code in all_linear_codes(ell, 2):
-            words = code.codeword_set()
+            words = set(code.codewords())
             assert (0, 0) in words
             for u in words:
                 for v in words:
@@ -147,6 +147,67 @@ def test_code_equality_by_codeword_set():
     assert hash(a) == hash(b)
     assert a != LinearCode(6, 1, [(3,)])
     assert a != LinearCode(12, 1, [(2,)])
+
+
+def _multiples_of_gcd(ell, gens):
+    """Span of length-1 generators mod ell, by arithmetic alone: multiples of gcd(ell, *gens)."""
+    d = math.gcd(ell, *gens)
+    return [(i * d,) for i in range(ell // d)]
+
+
+def test_big_modulus_span_matches_gcd_multiples():
+    rng = random.Random(2**61)
+    for _ in range(60):
+        k = rng.randint(1, 40)  # the span has at most k words
+        d = rng.randint(1, 2**70 // k)
+        ell = max(2, k * d)
+        gens = [d * rng.randrange(k) for _ in range(rng.randint(0, 3))]
+        code = LinearCode(ell, 1, [(g,) for g in gens])
+        assert list(code.codewords()) == _multiples_of_gcd(ell, gens)
+        assert code.cardinality() == ell // math.gcd(ell, *gens)
+
+
+def test_big_modulus_benchmark_inputs():
+    ell = 3 * 2**61
+    code = LinearCode(ell, 1, [(3 * 2**59,), (2**61,)])
+    assert list(code.codewords()) == _multiples_of_gcd(ell, [3 * 2**59, 2**61])
+    assert code.cardinality() == 12
+    code = LinearCode(2**64, 2, [(2**62, 2**63)])
+    assert code.codewords() == (
+        (0, 0),
+        (2**62, 2**63),
+        (2**63, 0),
+        (3 * 2**62, 2**63),
+    )
+
+
+def test_object_dtype_codewords_strictly_lex_ordered():
+    ell = 2**66
+    g, h = (2**63, 2**65, 3 * 2**64), (2**64, 0, 2**65)  # orders 8 and 4
+    code = LinearCode(ell, 3, [g, h])
+    assert code.codeword_array().dtype == object
+    words = code.codewords()
+    assert all(u < v for u, v in zip(words, words[1:]))
+    combos = {
+        tuple((a * x + b * y) % ell for x, y in zip(g, h)) for a in range(8) for b in range(4)
+    }
+    assert words == tuple(sorted(combos))
+
+
+def test_dtype_rule_boundary():
+    assert _dtype_for(2**63 - 1) is np.int64
+    assert _dtype_for(2**63) is object
+
+
+def test_equality_and_hash_across_constructions():
+    for code in all_linear_codes(6, 2):
+        twice = code.dual().dual()
+        spanned = LinearCode(6, 2, code.generators)
+        assert twice == code and hash(twice) == hash(code)
+        assert spanned == code and hash(spanned) == hash(code)
+    big = LinearCode(2**64, 2, [(2**62, 2**63)])
+    same = LinearCode(2**64, 2, [(3 * 2**62, 2**63), (2**63, 0)])
+    assert big == same and hash(big) == hash(same)
 
 
 def test_constructor_validation():
