@@ -1,11 +1,13 @@
 """Exact weight enumerators and MacWilliams-type identities for codes over Z_ell."""
 
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DegreeMismatch,
     LengthMismatch,
     NotPrimePower,
     OutOfRange,
+    budget_limit,
 )
 from .gray import (
     Field,
@@ -57,13 +59,11 @@ from .weights import (
     weight_enumerator,
 )
 from .zmod import (
-    DEFAULT_BUDGET,
     EXHAUSTIVE_CAP,
     LinearCode,
     all_linear_codes,
     format_code_spec,
     parse_code_spec,
-    resolve_budget,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, budget_limit
 from .gray import (
     canonical_gray_map,
     format_gray_table,
@@ -69,22 +69,22 @@ def _print_verdict(verdict: IdentityVerdict) -> int:
 
 def cmd_enumerate(args) -> int:
     code = _load_code(args)
-    for cw in code.codewords(args.budget):
+    for cw in code.codewords():
         print(" ".join(map(str, cw)))
     return 0
 
 
 def cmd_dual(args) -> int:
     code = _load_code(args)
-    print(format_code_spec(code.dual(args.budget)), end="")
+    print(format_code_spec(code.dual()), end="")
     return 0
 
 
 def cmd_wenum(args) -> int:
     code = _load_code(args)
     kind = WeightKind(args.weight)
-    print(to_text(weight_enumerator(code, kind, args.budget)))
-    print(f"|C| = {code.cardinality(args.budget)}")
+    print(to_text(weight_enumerator(code, kind)))
+    print(f"|C| = {code.cardinality()}")
     return 0
 
 
@@ -130,12 +130,12 @@ def _identity_kind(args) -> WeightKind:
 def cmd_check(args) -> int:
     code = _load_code(args)
     query = IdentityQuery(code, _identity_kind(args), args.multiplier)
-    return _print_verdict(check_identity(query, args.budget))
+    return _print_verdict(check_identity(query))
 
 
 def cmd_shiromoto(args) -> int:
     code = _load_code(args)
-    return _print_verdict(check_shiromoto_form(code, _identity_kind(args), args.budget))
+    return _print_verdict(check_shiromoto_form(code, _identity_kind(args)))
 
 
 def cmd_scan(args) -> int:
@@ -146,7 +146,7 @@ def cmd_scan(args) -> int:
 
 def cmd_search(args) -> int:
     found = search_counterexample(
-        args.modulus, _identity_kind(args), args.multiplier, args.max_length, args.budget
+        args.modulus, _identity_kind(args), args.multiplier, args.max_length
     )
     if found is None:
         print("verdict=none")
@@ -165,12 +165,11 @@ def _build_parser() -> _Parser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, budget=None)
         return p
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (overrides MWL_BUDGET)")
+        p.add_argument("--budget", type=int, help="enumeration budget (overrides MWL_BUDGET)")
 
     p = add("enumerate", cmd_enumerate, "list all codewords of a code")
     p.add_argument("--code", required=True, help="code spec file, or - for stdin")
@@ -228,7 +227,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with budget_limit(args.budget):
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

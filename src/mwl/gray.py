@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotPrimePower
+from .errors import NotPrimePower, charge
 from .weights import lee_weight
 from .zmod import LinearCode
 
@@ -168,6 +168,7 @@ def canonical_gray_map(ell: int, field: Field) -> GrayMap:
     if ell < 2:
         raise ValueError(f"modulus must be >= 2, got {ell}")
     ell1 = ell // 2
+    charge(ell * ell1, f"Gray table for Z_{ell}")
     hi = field.m - 1
     rows = []
     for a in range(ell):
@@ -219,12 +220,13 @@ def is_bijective_extension(gmap: GrayMap) -> bool:
     return len(set(gmap.table)) == gmap.ell
 
 
-def image_is_linear(gmap: GrayMap, code: LinearCode, budget: int | None = None) -> bool:
+def image_is_linear(gmap: GrayMap, code: LinearCode) -> bool:
     """True iff the image of the code is closed under addition and scaling."""
     if code.ell != gmap.ell:
         raise ValueError(f"code modulus {code.ell} does not match map modulus {gmap.ell}")
     field = gmap.field
-    image = {apply_gray(gmap, c) for c in code.codewords(budget)}
+    charge(code.cardinality() ** 2, f"image linearity check over Z_{code.ell}^{code.length}")
+    image = {apply_gray(gmap, c) for c in code.codewords()}
     add, mul = field.add_table, field.mul_table
     for u in image:
         for v in image:

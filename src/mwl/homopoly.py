@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, charge
 
 
 class HomoPoly:
@@ -84,6 +84,7 @@ def krawtchouk_columns(degree: int, multiplier: int) -> Iterator[list[int]]:
     0 is C(D, k) (t-1)^k; each later column is the previous one times (1 - z),
     divided exactly by (1 + (t-1)z). Python ints only, valid for every t >= 1.
     """
+    charge((degree + 1) ** 2, f"Krawtchouk columns of degree {degree}")
     u = multiplier - 1
     col = [comb(degree, k) * u**k for k in range(degree + 1)]
     yield col

@@ -10,17 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetExceeded
+from .errors import charge
 from .gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
 from .homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from .weights import WeightKind, weight_enumerator
-from .zmod import (
-    EXHAUSTIVE_CAP,
-    LinearCode,
-    all_linear_codes,
-    resolve_budget,
-    validate_modulus,
-)
+from .zmod import LinearCode, all_linear_codes, check_exhaustive, validate_modulus
 
 
 class IdentityStatus(Enum):
@@ -112,25 +106,25 @@ def existence_condition(ell: int, kind: WeightKind) -> int | None:
     return None
 
 
-def check_identity(query: IdentityQuery, budget: int | None = None) -> IdentityVerdict:
+def _dual_and_transform(code: LinearCode, kind: WeightKind, t: int) -> tuple[HomoPoly, HomoPoly]:
+    """wenum(dual) and the transformed enumerator (1/|C|) wenum(C)(x + (t-1)y, x - y)."""
+    left = weight_enumerator(code.dual(), kind)
+    return left, substitute_transform(weight_enumerator(code, kind), t, code.cardinality())
+
+
+def check_identity(query: IdentityQuery) -> IdentityVerdict:
     """Compare the dual's enumerator with the transformed enumerator, exactly.
 
     Holds iff wenum(dual) equals (1/|C|) wenum(C)(x + (t-1)y, x - y); a
     failing verdict carries the discrepancy transform - dual.
     """
-    code, kind, t = query.code, query.kind, query.multiplier
-    left = weight_enumerator(code.dual(budget), kind, budget)
-    right = substitute_transform(
-        weight_enumerator(code, kind, budget), t, code.cardinality(budget)
-    )
+    left, right = _dual_and_transform(query.code, query.kind, query.multiplier)
     if left == right:
         return IdentityVerdict(IdentityStatus.HOLDS, VerdictReason.VERIFIED)
     return IdentityVerdict(IdentityStatus.FAILS, VerdictReason.VERIFIED, right - left)
 
 
-def check_shiromoto_form(
-    code: LinearCode, kind: WeightKind, budget: int | None = None
-) -> IdentityVerdict:
+def check_shiromoto_form(code: LinearCode, kind: WeightKind) -> IdentityVerdict:
     """The fixed-root form: multiplier ell^(1/exponent), checked for integrality.
 
     If the root is not an integer the claimed substitution has no exact
@@ -144,13 +138,14 @@ def check_shiromoto_form(
         return IdentityVerdict(
             IdentityStatus.NOT_WELL_FORMED, VerdictReason.MULTIPLIER_NOT_INTEGRAL
         )
-    return check_identity(IdentityQuery(code, kind, t), budget)
+    return check_identity(IdentityQuery(code, kind, t))
 
 
 def scan_existence(kind: WeightKind, max_ell: int) -> list[tuple[int, int]]:
     """All moduli 2..max_ell admitting an identity, with their multipliers."""
     if max_ell < 2:
         raise ValueError(f"max_ell must be >= 2, got {max_ell}")
+    charge(max_ell - 1, f"existence scan over moduli 2..{max_ell}")
     out = []
     for ell in range(2, max_ell + 1):
         t = existence_condition(ell, kind)
@@ -160,11 +155,7 @@ def scan_existence(kind: WeightKind, max_ell: int) -> list[tuple[int, int]]:
 
 
 def search_counterexample(
-    ell: int,
-    kind: WeightKind,
-    multiplier: int,
-    max_length: int,
-    budget: int | None = None,
+    ell: int, kind: WeightKind, multiplier: int, max_length: int
 ) -> tuple[LinearCode, HomoPoly] | None:
     """First code (canonical order, lengths 1..max_length) failing the identity.
 
@@ -174,22 +165,17 @@ def search_counterexample(
     ell = validate_modulus(ell)
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    if ell**max_length > min(resolve_budget(budget), EXHAUSTIVE_CAP):
-        raise BudgetExceeded(
-            f"counterexample search over Z_{ell}^(<= {max_length}) exceeds the budget"
-        )
+    check_exhaustive(ell, max_length)
     for n in range(1, max_length + 1):
-        for code in all_linear_codes(ell, n, budget):
-            verdict = check_identity(IdentityQuery(code, kind, multiplier), budget)
+        for code in all_linear_codes(ell, n):
+            verdict = check_identity(IdentityQuery(code, kind, multiplier))
             if verdict.status is IdentityStatus.FAILS:
                 assert verdict.discrepancy is not None
                 return code, verdict.discrepancy
     return None
 
 
-def verify_identity_conditions(
-    ell: int, multiplier: int, code: LinearCode, budget: int | None = None
-) -> IdentityConditions:
+def verify_identity_conditions(ell: int, multiplier: int, code: LinearCode) -> IdentityConditions:
     """Report which ingredients of the Lee identity hold for this code.
 
     bijective_gray: the canonical map extends to a bijection (ell = m^ell1
@@ -199,12 +185,7 @@ def verify_identity_conditions(
     equals the dual's Lee enumerator, which is the identity itself.
     """
     gmap = canonical_gray_map(ell, make_field(multiplier))
-    transformed = substitute_transform(
-        weight_enumerator(code, WeightKind.LEE, budget),
-        multiplier,
-        code.cardinality(budget),
-    )
-    dual_enum = weight_enumerator(code.dual(budget), WeightKind.LEE, budget)
+    dual_enum, transformed = _dual_and_transform(code, WeightKind.LEE, multiplier)
     return IdentityConditions(
         bijective_gray=is_bijective_extension(gmap),
         transform_is_enumerator=is_nonneg_integer_poly(transformed)

@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, LengthMismatch
+from .errors import LengthMismatch, charge
 from .homopoly import HomoPoly, is_nonneg_integer_poly
-from .zmod import LinearCode, resolve_budget
+from .zmod import LinearCode
 
 
 class WeightKind(Enum):
@@ -74,18 +74,11 @@ class WeightDistribution:
         self.counts = counts
 
     @classmethod
-    def from_code(
-        cls, code: LinearCode, kind: WeightKind, budget: int | None = None
-    ) -> "WeightDistribution":
+    def from_code(cls, code: LinearCode, kind: WeightKind) -> "WeightDistribution":
         ell = code.ell
         deg = kind.scale(ell) * code.length
-        limit = resolve_budget(budget)
-        if deg + 1 > limit:
-            raise BudgetExceeded(
-                f"{kind.value} enumerator over Z_{ell}^{code.length} has {deg + 1} "
-                f"coefficients, beyond the budget of {limit}"
-            )
-        W = code.codeword_array(budget)
+        charge(deg + 1, f"{kind.value} enumerator over Z_{ell}^{code.length}")
+        W = code.codeword_array()
         if kind is WeightKind.HAMMING:
             per_residue = W != 0
         else:
@@ -134,6 +127,6 @@ class WeightDistribution:
         )
 
 
-def weight_enumerator(code: LinearCode, kind: WeightKind, budget: int | None = None) -> HomoPoly:
+def weight_enumerator(code: LinearCode, kind: WeightKind) -> HomoPoly:
     """Homogeneous enumerator of degree scale*n; coefficient i counts weight-i words."""
-    return WeightDistribution.from_code(code, kind, budget).to_poly()
+    return WeightDistribution.from_code(code, kind).to_poly()

@@ -1,39 +1,26 @@
 """Linear codes over Z_ell: exact construction, codeword enumeration, duals.
 
 A linear code is an additive subgroup of Z_ell^n. Everything here is exact
-integer arithmetic; enumerations are guarded by a configurable budget and
-fail loudly instead of truncating.
+integer arithmetic. The span, the dual scan and the subgroup stream charge
+their work to the budget of `errors.charge` before they start, and raise
+BudgetExceeded instead of truncating.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, charge
 
-# Default cap on candidate vectors touched by a single enumeration.
-DEFAULT_BUDGET = 10**7
 # Hard cap for the exhaustive all-subgroups regime (ell**n).
 EXHAUSTIVE_CAP = 10**4
-BUDGET_ENV_VAR = "MWL_BUDGET"
 
 _CHUNK = 1 << 16
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """Effective enumeration budget: explicit value, else MWL_BUDGET, else default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 def validate_modulus(ell: int) -> int:
@@ -106,7 +93,7 @@ class LinearCode:
         code._cw_array = arr
         return code
 
-    def _span_array(self, budget: int | None) -> np.ndarray:
+    def _span_array(self) -> np.ndarray:
         """Closure of the generators, as a lex-sorted matrix of rows.
 
         Each multiple t*g (0 <= t < r, the order of g) is reduced mod ell before
@@ -114,7 +101,6 @@ class LinearCode:
         largest value the rows ever hold.
         """
         ell, n = self.ell, self.length
-        limit = resolve_budget(budget)
         dtype = _dtype_for(2 * (ell - 1))
         cur = np.zeros((1, n), dtype=dtype)
         count = 1
@@ -123,10 +109,7 @@ class LinearCode:
             if r == 1:
                 continue
             count += (r - 1) * len(cur)
-            if count > limit:
-                raise BudgetExceeded(
-                    f"span of code over Z_{ell}^{n} needs > {limit} candidate vectors"
-                )
+            charge(count, f"span of code over Z_{ell}^{n}")
             mdtype = _dtype_for((r - 1) * (ell - 1))
             ts = np.arange(r, dtype=mdtype)[:, None]
             multiples = (ts * np.array(g, dtype=mdtype) % ell).astype(dtype)
@@ -135,20 +118,20 @@ class LinearCode:
             cur = _sorted_unique_rows(words)
         return cur
 
-    def codeword_array(self, budget: int | None = None) -> np.ndarray:
+    def codeword_array(self) -> np.ndarray:
         """All codewords as rows of a lex-sorted matrix: int64, or object past int64."""
         if self._cw_array is None:
-            self._cw_array = self._span_array(budget)
+            self._cw_array = self._span_array()
         return self._cw_array
 
-    def codewords(self, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
+    def codewords(self) -> tuple[tuple[int, ...], ...]:
         """All codewords, lexicographically sorted (canonical order)."""
-        return tuple(map(tuple, self.codeword_array(budget).tolist()))
+        return tuple(map(tuple, self.codeword_array().tolist()))
 
-    def cardinality(self, budget: int | None = None) -> int:
-        return len(self.codeword_array(budget))
+    def cardinality(self) -> int:
+        return len(self.codeword_array())
 
-    def dual(self, budget: int | None = None) -> "LinearCode":
+    def dual(self) -> "LinearCode":
         """All vectors orthogonal to this code under the standard inner product.
 
         Scans the whole ambient space; orthogonality is tested against the
@@ -156,11 +139,7 @@ class LinearCode:
         generator list is its full codeword list.
         """
         ell, n = self.ell, self.length
-        total = ell**n
-        if total > resolve_budget(budget):
-            raise BudgetExceeded(
-                f"dual over Z_{ell}^{n} scans {total} vectors, beyond the budget"
-            )
+        charge(ell**n, f"dual scan over Z_{ell}^{n}")
         dtype = _dtype_for(n * (ell - 1) ** 2)
         G = np.array(self.generators, dtype=dtype).reshape(-1, n)
         kept = []
@@ -187,23 +166,26 @@ class LinearCode:
         return f"LinearCode(ell={self.ell}, length={self.length}, generators={self.generators!r})"
 
 
-def all_linear_codes(ell: int, length: int, budget: int | None = None) -> Iterator[LinearCode]:
+def check_exhaustive(ell: int, length: int) -> None:
+    """Refuse a walk over all of Z_ell^length unless ell**length <= min(EXHAUSTIVE_CAP, budget)."""
+    total = ell**length
+    if total > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"exhaustive walk needs ell**n <= {EXHAUSTIVE_CAP}, got {total}")
+    charge(total, f"exhaustive subgroup enumeration over Z_{ell}^{length}")
+
+
+def all_linear_codes(ell: int, length: int) -> Iterator[LinearCode]:
     """Every distinct additive subgroup of Z_ell^length, each exactly once.
 
     Yields in canonical order: lexicographic on the sorted codeword list
     (so the zero code always comes first). Only available in the exhaustive
-    regime ell**length <= EXHAUSTIVE_CAP.
+    regime, see `check_exhaustive`.
     """
     ell = validate_modulus(ell)
     length = int(length)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    total = ell**length
-    if total > EXHAUSTIVE_CAP or total > resolve_budget(budget):
-        raise BudgetExceeded(
-            f"exhaustive subgroup enumeration needs ell**n <= "
-            f"{min(EXHAUSTIVE_CAP, resolve_budget(budget))}, got {total}"
-        )
+    check_exhaustive(ell, length)
     yield from _all_codes(ell, length)
 
 

@@ -274,3 +274,61 @@ def test_wenum_hamming_big_modulus(capsys, tmp_path):
     code, out, _ = run(capsys, ["wenum", "--code", str(big), "--weight", "hamming"])
     assert code == 0
     assert out == "deg 1; 0:1 1:11\n|C| = 12\n"
+
+
+CODE_COMMANDS = [
+    ["enumerate"],
+    ["dual"],
+    ["wenum", "--weight", "lee"],
+    ["check", "--weight", "lee", "--m", "2"],
+    ["shiromoto", "--weight", "lee"],
+    ["search", "--modulus", "2", "--weight", "lee", "--m", "2", "--max-length", "1"],
+]
+
+
+def _code_argv(cmd, code_file):
+    return cmd if cmd[0] == "search" else cmd + ["--code", code_file]
+
+
+@pytest.mark.parametrize("cmd", CODE_COMMANDS, ids=lambda cmd: cmd[0])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_budget_error_is_not_a_verdict(capsys, monkeypatch, z4_file, cmd, via):
+    argv = _code_argv(cmd, z4_file)
+    if via == "flag":
+        argv = argv + ["--budget", "1"]
+    else:
+        monkeypatch.setenv("MWL_BUDGET", "1")
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd", CODE_COMMANDS, ids=lambda cmd: cmd[0])
+def test_budget_flag_overrides_env(capsys, monkeypatch, z4_file, cmd):
+    monkeypatch.setenv("MWL_BUDGET", "1")
+    code, out, err = run(capsys, _code_argv(cmd, z4_file) + ["--budget", "1000000"])
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kraw", "--q", "2", "--n", "20"],
+        ["transform", "--poly", "deg 20; 0:1", "--m", "2"],
+        ["gray", "--modulus", "100", "--m", "2"],
+        ["scan", "--weight", "lee", "--max", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_env_budget_bounds_commands_without_flag(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MWL_BUDGET", "100")
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
+def test_kraw_huge_n_exceeds_default_budget(capsys):
+    code, out, err = run(capsys, ["kraw", "--q", "2", "--n", str(2**64)])
+    assert code == 3
+    assert out == "" and err.startswith("error:")

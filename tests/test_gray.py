@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mwl.errors import NotPrimePower
+from mwl.errors import BudgetExceeded, NotPrimePower, budget_limit
 from mwl.gray import (
     GrayMap,
     apply_gray,
@@ -195,6 +195,18 @@ def test_image_modulus_mismatch():
     g4 = canonical_gray_map(4, make_field(2))
     with pytest.raises(ValueError):
         image_is_linear(g4, LinearCode(6, 1, [(3,)]))
+
+
+def test_image_linearity_charges_pairs():
+    # the span of Z_4^2 charges at most 16 vectors; the 16^2 image pairs exceed 100
+    g4 = canonical_gray_map(4, make_field(2))
+    full = LinearCode(4, 2, [(1, 0), (0, 1)])
+    with budget_limit(100):
+        assert full.cardinality() == 16
+        with pytest.raises(BudgetExceeded):
+            image_is_linear(g4, full)
+    with budget_limit(256):
+        assert image_is_linear(g4, full)
 
 
 def test_gray_table_text_roundtrip():

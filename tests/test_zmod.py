@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mwl.errors import BudgetExceeded
+from mwl.errors import BudgetExceeded, budget_limit
 from mwl.zmod import (
     LinearCode,
     _dtype_for,
@@ -226,20 +226,35 @@ def test_constructor_reduces_entries():
 
 def test_budget_exceeded_on_span():
     code = LinearCode(7, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    with pytest.raises(BudgetExceeded):
-        code.codewords(budget=100)
+    with budget_limit(100), pytest.raises(BudgetExceeded):
+        code.codewords()
 
 
 def test_budget_exceeded_on_dual():
-    with pytest.raises(BudgetExceeded):
-        LinearCode(5, 3, [(1, 2, 3)]).dual(budget=50)
+    with budget_limit(50), pytest.raises(BudgetExceeded):
+        LinearCode(5, 3, [(1, 2, 3)]).dual()
 
 
 def test_all_linear_codes_exhaustive_cap():
     with pytest.raises(BudgetExceeded):
         list(all_linear_codes(11, 4))  # 14641 > 10**4
+    with budget_limit(3), pytest.raises(BudgetExceeded):
+        list(all_linear_codes(4, 2))
+
+
+def test_budget_limit_nests_and_restores(monkeypatch):
+    monkeypatch.setenv("MWL_BUDGET", "10")
+    code = LinearCode(5, 2, [(1, 0)])
+    with budget_limit(1000):
+        with budget_limit(24):
+            with pytest.raises(BudgetExceeded):
+                code.dual()
+        assert code.dual().cardinality() == 5
+        with budget_limit(None):  # None defers to MWL_BUDGET again
+            with pytest.raises(BudgetExceeded):
+                code.dual()
     with pytest.raises(BudgetExceeded):
-        list(all_linear_codes(4, 2, budget=3))
+        code.dual()
 
 
 def test_env_budget_override(monkeypatch):
