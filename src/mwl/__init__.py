@@ -6,7 +6,6 @@ from .errors import (
     DegreeMismatch,
     LengthMismatch,
     NotPrimePower,
-    OutOfRange,
     budget_limit,
 )
 from .gray import (
@@ -38,18 +37,11 @@ from .identity import (
     check_identity,
     check_shiromoto_form,
     existence_condition,
-    is_prime_power,
     scan_existence,
     search_counterexample,
     verify_identity_conditions,
 )
-from .krawtchouk import (
-    KrawtchoukParams,
-    krawtchouk,
-    krawtchouk_matrix,
-    orthogonality_check,
-    transforms_agree,
-)
+from .krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from .weights import (
     WeightDistribution,
     WeightKind,

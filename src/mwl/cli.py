@@ -120,33 +120,26 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _identity_kind(args) -> WeightKind:
-    kind = WeightKind(args.weight)
-    if kind is WeightKind.HAMMING:
-        raise _UsageError("identity checks cover lee and euclidean weights only")
-    return kind
-
-
 def cmd_check(args) -> int:
     code = _load_code(args)
-    query = IdentityQuery(code, _identity_kind(args), args.multiplier)
+    query = IdentityQuery(code, WeightKind(args.weight), args.multiplier)
     return _print_verdict(check_identity(query))
 
 
 def cmd_shiromoto(args) -> int:
     code = _load_code(args)
-    return _print_verdict(check_shiromoto_form(code, _identity_kind(args)))
+    return _print_verdict(check_shiromoto_form(code, WeightKind(args.weight)))
 
 
 def cmd_scan(args) -> int:
-    for ell, t in scan_existence(_identity_kind(args), args.max):
+    for ell, t in scan_existence(WeightKind(args.weight), args.max):
         print(f"{ell} {t}")
     return 0
 
 
 def cmd_search(args) -> int:
     found = search_counterexample(
-        args.modulus, _identity_kind(args), args.multiplier, args.max_length
+        args.modulus, WeightKind(args.weight), args.multiplier, args.max_length
     )
     if found is None:
         print("verdict=none")
@@ -229,10 +222,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with budget_limit(args.budget):
             return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (BudgetExceeded, ValueError, OverflowError, OSError) as exc:
+    except (_UsageError, BudgetExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

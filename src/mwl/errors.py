@@ -53,7 +53,3 @@ class LengthMismatch(ValueError):
 
 class NotPrimePower(ValueError):
     """Requested field size is not a supported prime power."""
-
-
-class OutOfRange(ValueError):
-    """An evaluation point or index lies outside the defined range."""

@@ -140,6 +140,7 @@ def from_text(text: str) -> HomoPoly:
     degree = int(parts[1])
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    charge(degree + 1, f"coefficients of a degree-{degree} polynomial")
     coeffs = [Fraction(0)] * (degree + 1)
     seen: set[int] = set()
     for term in tail.split():

@@ -78,16 +78,6 @@ def _int_root(x: int, k: int) -> int:
     return lo
 
 
-def is_prime_power(t: int) -> bool:
-    return prime_base(t) is not None
-
-
-def _kind_exponent(ell: int, kind: WeightKind) -> int:
-    if kind is WeightKind.HAMMING:
-        raise ValueError("existence conditions cover Lee and Euclidean weights only")
-    return kind.scale(ell)
-
-
 def existence_condition(ell: int, kind: WeightKind) -> int | None:
     """The unique multiplier t with t^exponent = ell, if a valid one exists.
 
@@ -96,12 +86,14 @@ def existence_condition(ell: int, kind: WeightKind) -> int | None:
     ell (divisibility is automatic once t^exponent = ell).
     """
     ell = validate_modulus(ell)
-    kappa = _kind_exponent(ell, kind)
+    if kind is WeightKind.HAMMING:
+        raise ValueError("existence conditions cover Lee and Euclidean weights only")
+    kappa = kind.scale(ell)
     # t >= 2 forces 2^kappa <= ell; bit arithmetic keeps the scan exact and fast
     if kappa > ell.bit_length() - 1:
         return None
     t = _int_root(ell, kappa)
-    if t >= 2 and t**kappa == ell and is_prime_power(t):
+    if t >= 2 and t**kappa == ell and prime_base(t) is not None:
         return t
     return None
 
@@ -127,14 +119,12 @@ def check_identity(query: IdentityQuery) -> IdentityVerdict:
 def check_shiromoto_form(code: LinearCode, kind: WeightKind) -> IdentityVerdict:
     """The fixed-root form: multiplier ell^(1/exponent), checked for integrality.
 
-    If the root is not an integer the claimed substitution has no exact
-    meaning and the verdict is NotWellFormed; otherwise this delegates to
-    check_identity with the integer multiplier.
+    If `existence_condition` finds no multiplier, the claimed substitution
+    has no exact meaning and the verdict is NotWellFormed; otherwise this
+    delegates to check_identity with that multiplier.
     """
-    ell = code.ell
-    kappa = _kind_exponent(ell, kind)
-    t = _int_root(ell, kappa)
-    if t**kappa != ell:
+    t = existence_condition(code.ell, kind)
+    if t is None:
         return IdentityVerdict(
             IdentityStatus.NOT_WELL_FORMED, VerdictReason.MULTIPLIER_NOT_INTEGRAL
         )

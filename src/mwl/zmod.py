@@ -139,7 +139,7 @@ class LinearCode:
         generator list is its full codeword list.
         """
         ell, n = self.ell, self.length
-        charge(ell**n, f"dual scan over Z_{ell}^{n}")
+        charge(ell**n * max(1, len(self.generators)), f"dual scan over Z_{ell}^{n}")
         dtype = _dtype_for(n * (ell - 1) ** 2)
         G = np.array(self.generators, dtype=dtype).reshape(-1, n)
         kept = []
@@ -179,14 +179,18 @@ def all_linear_codes(ell: int, length: int) -> Iterator[LinearCode]:
 
     Yields in canonical order: lexicographic on the sorted codeword list
     (so the zero code always comes first). Only available in the exhaustive
-    regime, see `check_exhaustive`.
+    regime, see `check_exhaustive`; the walk charges (subgroups found) * ell**length
+    before each step.
     """
     ell = validate_modulus(ell)
     length = int(length)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     check_exhaustive(ell, length)
-    yield from _all_codes(ell, length)
+    codes = _all_codes(ell, length)
+    # charge a cached walk what its last step cost, so the cache changes no verdict
+    charge(len(codes) * ell**length, f"subgroup lattice of Z_{ell}^{length}")
+    yield from codes
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +231,7 @@ def _all_codes(ell: int, n: int) -> tuple[LinearCode, ...]:
     subgroups: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {zero.tobytes(): (zero, ())}
     queue = deque([zero.tobytes()])
     while queue:
+        charge(len(subgroups) * N, f"subgroup lattice of Z_{ell}^{n}")
         H, gens = subgroups[queue.popleft()]
         members = set(H.tolist())
         # vectors already known to regenerate an extension we have computed

@@ -2,15 +2,20 @@
 
 Everything here deliberately avoids the library's own code paths: spans are
 brute-forced over all coefficient tuples, duals test orthogonality against
-every codeword, and polynomial substitution goes through sympy.
+every codeword, polynomial substitution goes through sympy, and Krawtchouk
+values come from the defining sum with exact big-integer binomials. The last
+two functions apply such references to the library's own output.
 """
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import sympy
 
-from mwl.homopoly import HomoPoly
+from mwl.errors import LengthMismatch
+from mwl.homopoly import HomoPoly, substitute_transform
+from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
 
 
 def brute_span(gens, ell, n):
@@ -70,3 +75,39 @@ def sympy_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
         assert ex + ey == D, "transform lost homogeneity"
         coeffs[ey] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
     return HomoPoly(coeffs)
+
+
+def krawtchouk(k: int, x: int, params: KrawtchoukParams) -> int:
+    """K_k(x) = sum_j (-1)^j (q-1)^(k-j) C(x, j) C(n-x, k-j), for 0 <= k, x <= n."""
+    n, q = params.n, params.q
+    return sum(
+        (-1) ** j * (q - 1) ** (k - j) * comb(x, j) * comb(n - x, k - j)
+        for j in range(k + 1)
+    )
+
+
+def orthogonality_check(params: KrawtchoukParams) -> bool:
+    """Exact check of sum_l K_k(l) K_l(j) = q^n delta(k, j) on the library's matrix."""
+    n, q = params.n, params.q
+    K = krawtchouk_matrix(params)
+    qn = q**n
+    for k in range(n + 1):
+        for j in range(n + 1):
+            total = sum(K[k][l] * K[l][j] for l in range(n + 1))
+            if total != (qn if k == j else 0):
+                return False
+    return True
+
+
+def transforms_agree(counts, params: KrawtchoukParams, size: int) -> bool:
+    """The defining-sum transform A'_k = (1/size) sum_j counts[j] K_k(j) against
+    the library's `substitute_transform`, exactly."""
+    n = params.n
+    if len(counts) != n + 1:
+        raise LengthMismatch(f"expected {n + 1} counts, got {len(counts)}")
+    poly = substitute_transform(HomoPoly(counts), params.q, size)
+    via_sum = tuple(
+        Fraction(sum(counts[j] * krawtchouk(k, j, params) for j in range(n + 1)), size)
+        for k in range(n + 1)
+    )
+    return via_sum == poly.coeffs

@@ -15,6 +15,7 @@ from mwl.gray import (
     is_bijective_extension,
     is_weight_preserving,
     make_field,
+    prime_base,
 )
 from mwl.homopoly import HomoPoly, substitute_transform
 from mwl.identity import (
@@ -22,13 +23,14 @@ from mwl.identity import (
     IdentityStatus,
     check_identity,
     check_shiromoto_form,
-    is_prime_power,
     scan_existence,
     search_counterexample,
 )
-from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix, transforms_agree
+from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from mwl.weights import WeightKind, weight_enumerator
 from mwl.zmod import LinearCode, all_linear_codes
+
+from oracles import transforms_agree
 
 LEE = WeightKind.LEE
 EUC = WeightKind.EUCLIDEAN
@@ -137,7 +139,7 @@ def test_criterion_08_duality_invariant():
 def test_criterion_09_gray_map_fidelity():
     for ell in range(2, 17):
         for m in range(2, ell + 1):
-            if ell % m == 0 and is_prime_power(m):
+            if ell % m == 0 and prime_base(m) is not None:
                 gmap = canonical_gray_map(ell, make_field(m))
                 assert is_weight_preserving(gmap), (ell, m)
     z6 = canonical_gray_map(6, make_field(2))
@@ -152,7 +154,7 @@ def test_criterion_09_gray_map_fidelity():
     hits = []
     for ell in range(2, 101):
         for m in range(2, ell + 1):
-            if ell % m != 0 or not is_prime_power(m):
+            if ell % m != 0 or prime_base(m) is None:
                 continue
             if m in SUPPORTED_FIELD_SIZES:
                 ok = is_bijective_extension(canonical_gray_map(ell, make_field(m)))

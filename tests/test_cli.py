@@ -332,3 +332,47 @@ def test_kraw_huge_n_exceeds_default_budget(capsys):
     code, out, err = run(capsys, ["kraw", "--q", "2", "--n", str(2**64)])
     assert code == 3
     assert out == "" and err.startswith("error:")
+
+
+def test_zero_denominator_exits_3(capsys):
+    # an ArithmeticError is an error, never the exit code 1 that means "Fails"
+    code, out, err = run(capsys, ["transform", "--poly", "deg 2; 0:1/0", "--m", "2"])
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
+def test_huge_degree_is_charged_before_it_is_built(capsys):
+    code, out, err = run(capsys, ["transform", "--poly", "deg 1000000000; 0:1", "--m", "2"])
+    assert code == 3
+    assert out == "" and "budget" in err
+
+
+def test_search_lattice_walk_is_charged(capsys):
+    # the Z_2^6 lattice has 2825 subgroups: 2825 * 2^6 units at its last step
+    argv = ["search", "--modulus", "2", "--weight", "lee", "--m", "2", "--max-length", "6"]
+    code, out, err = run(capsys, argv + ["--budget", "100000"])
+    assert code == 3
+    assert out == "" and "subgroup lattice" in err
+    code, out, _ = run(capsys, argv + ["--budget", "200000"])
+    assert code == 0 and out == "verdict=none\n"
+
+
+def test_dual_scan_charges_every_generator(capsys, tmp_path):
+    # a dual printed by `mwl dual` lists every codeword as a generator: 2^12 of them here
+    spec = tmp_path / "z2.txt"
+    spec.write_text("modulus 2\nlength 13\ngen " + " ".join(["1"] + ["0"] * 12) + "\n")
+    code, out, _ = run(capsys, ["dual", "--code", str(spec)])
+    assert code == 0 and out.count("gen ") == 2**12
+    spec.write_text(out)
+    code, out, err = run(capsys, ["dual", "--code", str(spec)])
+    assert code == 3
+    assert out == "" and "dual scan" in err
+
+
+@pytest.mark.parametrize("ell, weight", [(10**8, "lee"), (20000, "euclidean")])
+def test_shiromoto_big_modulus_is_not_well_formed(capsys, tmp_path, ell, weight):
+    spec = tmp_path / "big.txt"
+    spec.write_text(f"modulus {ell}\nlength 1\ngen 1\n")
+    code, out, _ = run(capsys, ["shiromoto", "--code", str(spec), "--weight", weight])
+    assert code == 2
+    assert out == "verdict=NotWellFormed reason=MultiplierNotIntegral discrepancy=none\n"

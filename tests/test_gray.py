@@ -16,8 +16,8 @@ from mwl.gray import (
     is_weight_preserving,
     make_field,
     parse_gray_table,
+    prime_base,
 )
-from mwl.identity import is_prime_power
 from mwl.weights import lee_weight, vector_weight, WeightKind
 from mwl.zmod import LinearCode, all_linear_codes
 
@@ -25,7 +25,7 @@ SUPPORTED_FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
 def _prime_power_divisors(ell):
-    return [m for m in range(2, ell + 1) if ell % m == 0 and is_prime_power(m)]
+    return [m for m in range(2, ell + 1) if ell % m == 0 and prime_base(m) is not None]
 
 
 def test_small_field_arithmetic():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mwl.gray import prime_base
 from mwl.homopoly import HomoPoly
 from mwl.identity import (
     IdentityConditions,
@@ -12,7 +13,6 @@ from mwl.identity import (
     check_identity,
     check_shiromoto_form,
     existence_condition,
-    is_prime_power,
     scan_existence,
     search_counterexample,
     verify_identity_conditions,
@@ -27,8 +27,8 @@ EUC = WeightKind.EUCLIDEAN
 
 
 def test_is_prime_power():
-    assert all(is_prime_power(t) for t in (2, 3, 4, 5, 7, 8, 9, 16, 27, 125))
-    assert not any(is_prime_power(t) for t in (0, 1, 6, 10, 12, 36, 100))
+    assert all(prime_base(t) is not None for t in (2, 3, 4, 5, 7, 8, 9, 16, 27, 125))
+    assert not any(prime_base(t) is not None for t in (0, 1, 6, 10, 12, 36, 100))
 
 
 def test_existence_condition_examples():
@@ -160,7 +160,7 @@ def test_search_counterexample_finds_failures_for_bad_pairs():
     for kind in (LEE, EUC):
         for ell in range(2, 9):
             for t in range(2, ell + 1):
-                if ell % t or not is_prime_power(t):
+                if ell % t or prime_base(t) is None:
                     continue
                 if existence_condition(ell, kind) == t:
                     continue

@@ -242,6 +242,26 @@ def test_all_linear_codes_exhaustive_cap():
         list(all_linear_codes(4, 2))
 
 
+def test_dual_charge_counts_generators():
+    code = LinearCode(5, 3, [(1, 2, 3), (0, 1, 1)])
+    with budget_limit(2 * 5**3 - 1), pytest.raises(BudgetExceeded):
+        code.dual()
+    with budget_limit(2 * 5**3):
+        assert code.dual().cardinality() == 5
+
+
+def test_lattice_walk_charges_subgroups():
+    # 2^9 passes check_exhaustive; the walk's subgroup count does not
+    with pytest.raises(BudgetExceeded, match="subgroup lattice"):
+        list(all_linear_codes(2, 9))
+    # Z_2^4 has 67 subgroups: 67 * 16 units, charged again on a cached walk
+    assert len(list(all_linear_codes(2, 4))) == 67
+    with budget_limit(67 * 16 - 1), pytest.raises(BudgetExceeded):
+        list(all_linear_codes(2, 4))
+    with budget_limit(67 * 16):
+        assert len(list(all_linear_codes(2, 4))) == 67
+
+
 def test_budget_limit_nests_and_restores(monkeypatch):
     monkeypatch.setenv("MWL_BUDGET", "10")
     code = LinearCode(5, 2, [(1, 0)])
