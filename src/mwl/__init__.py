@@ -29,7 +29,6 @@ from .homopoly import (
     to_text,
 )
 from .identity import (
-    IdentityConditions,
     IdentityQuery,
     IdentityStatus,
     IdentityVerdict,
@@ -39,7 +38,6 @@ from .identity import (
     existence_condition,
     scan_existence,
     search_counterexample,
-    verify_identity_conditions,
 )
 from .krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from .weights import (

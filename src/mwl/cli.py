@@ -8,6 +8,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 
 from .errors import BudgetExceeded, budget_limit
@@ -31,7 +33,7 @@ from .identity import (
 )
 from .krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from .weights import WeightKind, weight_enumerator
-from .zmod import LinearCode, format_code_spec, parse_code_spec
+from .zmod import LinearCode, format_code_spec, format_codewords, parse_code_spec
 
 
 class _UsageError(Exception):
@@ -68,9 +70,7 @@ def _print_verdict(verdict: IdentityVerdict) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    code = _load_code(args)
-    for cw in code.codewords():
-        print(" ".join(map(str, cw)))
+    print(format_codewords(_load_code(args)), end="")
     return 0
 
 
@@ -146,8 +146,7 @@ def cmd_search(args) -> int:
         return 0
     code, discrepancy = found
     print(f"verdict=found length={code.length}")
-    # canonical serialization: one gen line per codeword, lex order
-    print(format_code_spec(LinearCode(code.ell, code.length, code.codewords())), end="")
+    print(format_code_spec(code), end="")
     print(f"discrepancy={to_text(discrepancy)}")
     return 0
 
@@ -217,14 +216,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its stdout is written once it has returned, so an error prints none."""
     parser = _build_parser()
+    out = io.StringIO()
     try:
         args = parser.parse_args(argv)
-        with budget_limit(args.budget):
-            return args.func(args)
+        with budget_limit(args.budget), contextlib.redirect_stdout(out):
+            status = args.func(args)
     except (_UsageError, BudgetExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(out.getvalue())
+    return status
 
 
 if __name__ == "__main__":

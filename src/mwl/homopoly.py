@@ -1,8 +1,9 @@
 """Exact homogeneous bivariate polynomials with rational coefficients.
 
 A polynomial of degree D is stored as the coefficient list c_0 ... c_D of
-sum_i c_i x^(D-i) y^i. All coefficients are fractions.Fraction, so equality
-checks are exact.
+sum_i c_i x^(D-i) y^i. Coefficients are exact: Python ints stay ints, and
+every other value becomes a fractions.Fraction. An int and a Fraction of the
+same value compare, hash and print alike, so equality checks are exact.
 
 `krawtchouk_columns` is the single integer kernel behind every
 MacWilliams-style expansion in the package: it streams the y-coefficients of
@@ -26,17 +27,17 @@ class HomoPoly:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a homogeneous polynomial needs degree + 1 coefficients")
         self.degree: int = len(cs) - 1
-        self.coeffs: tuple[Fraction, ...] = cs
+        self.coeffs: tuple[int | Fraction, ...] = cs
 
     @classmethod
     def zero(cls, degree: int) -> "HomoPoly":
-        return cls([Fraction(0)] * (degree + 1))
+        return cls([0] * (degree + 1))
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> int | Fraction:
         return self.coeffs[i]
 
     def is_zero(self) -> bool:
@@ -104,7 +105,8 @@ def substitute_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
     This is the substitution behind MacWilliams-style transforms; the degree
     is preserved and coefficients stay exact rationals. The coefficients are
     put over one common denominator and the Krawtchouk columns summed in
-    integers, with a single division per output coefficient.
+    integers, with a single division per output coefficient: an int where it
+    is exact, a Fraction otherwise.
     """
     t = int(multiplier)
     s = int(scale)
@@ -118,7 +120,8 @@ def substitute_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
         num = c.numerator * (den // c.denominator)
         if num:
             out = [o + num * v for o, v in zip(out, col)]
-    return HomoPoly(Fraction(v, den * s) for v in out)
+    q = den * s
+    return HomoPoly(v // q if v % q == 0 else Fraction(v, q) for v in out)
 
 
 def to_text(p: HomoPoly) -> str:

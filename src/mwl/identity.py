@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import charge
-from .gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
-from .homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
+from .gray import prime_base
+from .homopoly import HomoPoly, substitute_transform
 from .weights import WeightKind, weight_enumerator
 from .zmod import LinearCode, all_linear_codes, check_exhaustive, validate_modulus
 
@@ -55,15 +55,6 @@ class IdentityQuery:
             raise ValueError(f"multiplier must be >= 2, got {self.multiplier}")
 
 
-@dataclass(frozen=True)
-class IdentityConditions:
-    """The separately testable ingredients behind a Lee identity verdict."""
-
-    bijective_gray: bool
-    transform_is_enumerator: bool
-    dual_match: bool
-
-
 def _int_root(x: int, k: int) -> int:
     """floor(x ** (1/k)) by binary search; exact integer arithmetic only."""
     if x < 1 or k < 1:
@@ -98,19 +89,15 @@ def existence_condition(ell: int, kind: WeightKind) -> int | None:
     return None
 
 
-def _dual_and_transform(code: LinearCode, kind: WeightKind, t: int) -> tuple[HomoPoly, HomoPoly]:
-    """wenum(dual) and the transformed enumerator (1/|C|) wenum(C)(x + (t-1)y, x - y)."""
-    left = weight_enumerator(code.dual(), kind)
-    return left, substitute_transform(weight_enumerator(code, kind), t, code.cardinality())
-
-
 def check_identity(query: IdentityQuery) -> IdentityVerdict:
     """Compare the dual's enumerator with the transformed enumerator, exactly.
 
     Holds iff wenum(dual) equals (1/|C|) wenum(C)(x + (t-1)y, x - y); a
     failing verdict carries the discrepancy transform - dual.
     """
-    left, right = _dual_and_transform(query.code, query.kind, query.multiplier)
+    code, kind = query.code, query.kind
+    left = weight_enumerator(code.dual(), kind)
+    right = substitute_transform(weight_enumerator(code, kind), query.multiplier, code.cardinality())
     if left == right:
         return IdentityVerdict(IdentityStatus.HOLDS, VerdictReason.VERIFIED)
     return IdentityVerdict(IdentityStatus.FAILS, VerdictReason.VERIFIED, right - left)
@@ -163,22 +150,3 @@ def search_counterexample(
                 assert verdict.discrepancy is not None
                 return code, verdict.discrepancy
     return None
-
-
-def verify_identity_conditions(ell: int, multiplier: int, code: LinearCode) -> IdentityConditions:
-    """Report which ingredients of the Lee identity hold for this code.
-
-    bijective_gray: the canonical map extends to a bijection (ell = m^ell1
-    with distinct rows). transform_is_enumerator: the transformed enumerator
-    could be a code's enumerator at all, i.e. nonnegative integer
-    coefficients with leading coefficient 1. dual_match: the transform
-    equals the dual's Lee enumerator, which is the identity itself.
-    """
-    gmap = canonical_gray_map(ell, make_field(multiplier))
-    dual_enum, transformed = _dual_and_transform(code, WeightKind.LEE, multiplier)
-    return IdentityConditions(
-        bijective_gray=is_bijective_extension(gmap),
-        transform_is_enumerator=is_nonneg_integer_poly(transformed)
-        and transformed.coefficient(0) == 1,
-        dual_match=transformed == dual_enum,
-    )

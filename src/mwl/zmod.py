@@ -1,8 +1,10 @@
 """Linear codes over Z_ell: exact construction, codeword enumeration, duals.
 
 A linear code is an additive subgroup of Z_ell^n. Everything here is exact
-integer arithmetic. The span, the dual scan and the subgroup stream charge
-their work to the budget of `errors.charge` before they start, and raise
+integer arithmetic. One diagonal form of the generators gives a code's size
+and independent bases of the code and of its dual; only the exhaustive
+subgroup stream walks Z_ell^n. The diagonal form, the span and the stream
+charge their work to `errors.charge` before they start, and raise
 BudgetExceeded instead of truncating.
 """
 
@@ -20,9 +22,6 @@ from .errors import BudgetExceeded, charge
 # Hard cap for the exhaustive all-subgroups regime (ell**n).
 EXHAUSTIVE_CAP = 10**4
 
-_CHUNK = 1 << 16
-
-
 def validate_modulus(ell: int) -> int:
     ell = int(ell)
     if ell < 2:
@@ -30,34 +29,61 @@ def validate_modulus(ell: int) -> int:
     return ell
 
 
-def _vector_order(g: Sequence[int], ell: int) -> int:
-    """Additive order of g in Z_ell^n."""
-    d = ell
-    for e in g:
-        d = math.gcd(d, e)
-    return ell // d
-
-
-def _vector_chunks(ell: int, n: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """All vectors of Z_ell^n in lexicographic order, as int64 blocks."""
-    total = ell**n
-    pows = [ell ** (n - 1 - j) for j in range(n)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield np.stack([(idx // p) % ell for p in pows], axis=1)
-
-
 def _dtype_for(bound: int) -> type:
     """int64 if every intermediate value is at most `bound`, else exact Python ints."""
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 
-def _sorted_unique_rows(a: np.ndarray) -> np.ndarray:
-    """Distinct rows of a 2-D array in lexicographic order (int64 or object)."""
-    a = a[np.lexsort(a.T[::-1])]
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
-    return a[keep]
+def _diagonal_form(
+    gens: Sequence[Sequence[int]], ell: int, n: int
+) -> tuple[list[list[int]], list[int], list[tuple[int, ...]]]:
+    """Diagonalise the generator matrix G over Z_ell: U G V = diag(d_1, ..., d_r).
+
+    U and V are products of row and column operations that run Euclid's
+    algorithm on two entries at a time (Howell, Lin. Multilin. Algebra 19
+    (1986); Storjohann, PhD thesis, ETH (2000)), in exact Python ints mod ell.
+    Returns the r nonzero rows of U G, their diagonal entries d_i
+    (0 < d_i < ell) and the columns of V. Row i of U G is d_i times row i of
+    V^-1, so these rows are independent, of orders ell / gcd(d_i, ell). The
+    charge counts one pass of each pivot over the k rows of G and the n rows of V.
+    """
+    k = len(gens)
+    charge((k + n) * n * max(1, min(k, n)), f"diagonal form of {k} generators over Z_{ell}^{n}")
+    # rows 0..k-1 are [U G V | U G] and rows k..k+n-1 are V: row operations
+    # touch only the first k rows, column operations only the first n columns
+    M = [list(g) * 2 for g in gens] + [[int(i == j) for j in range(n)] for i in range(n)]
+    diag: list[int] = []
+    for r in range(min(k, n)):
+        pivot = next(((i, j) for i in range(r, k) for j in range(r, n) if M[i][j]), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        M[r], M[i] = M[i], M[r]
+        for row in M:
+            row[r], row[j] = row[j], row[r]
+        # Euclid on (pivot, entry): the pivot moves only to a smaller remainder,
+        # so the passes end, with the gcd of row r and column r as the pivot
+        while True:
+            for i in range(r + 1, k):  # row operations clear column r
+                while M[i][r]:
+                    q = M[i][r] // M[r][r]
+                    M[i] = [(b - q * a) % ell for a, b in zip(M[r], M[i])]
+                    if M[i][r]:
+                        M[r], M[i] = M[i], M[r]
+            if not any(M[r][r + 1 : n]):
+                break
+            for j in range(r + 1, n):  # column operations clear row r
+                while M[r][j]:
+                    q = M[r][j] // M[r][r]
+                    for row in M:
+                        row[j] = (row[j] - q * row[r]) % ell
+                    if M[r][j]:
+                        for row in M:
+                            row[r], row[j] = row[j], row[r]
+            if not any(M[i][r] for i in range(r + 1, k)):
+                break
+        diag.append(M[r][r])
+    return [row[n:] for row in M[: len(diag)]], diag, list(zip(*M[k:]))
 
 
 class LinearCode:
@@ -65,8 +91,10 @@ class LinearCode:
 
     Value semantics: two codes are equal iff modulus, length, and codeword
     set agree, no matter which generators produced them. The codewords are
-    held once, as the lex-sorted matrix of `codeword_array`; instances are
-    immutable apart from caching it, so they are safe to share across threads.
+    held once, as the lex-sorted matrix of `codeword_array`; size, span and
+    dual all come from one diagonal form of the generators. Instances are
+    immutable apart from caching those, so they are safe to share across
+    threads.
     """
 
     def __init__(self, ell: int, length: int, generators: Iterable[Sequence[int]] = ()):
@@ -84,39 +112,41 @@ class LinearCode:
             gens.append(row)
         self.generators: tuple[tuple[int, ...], ...] = tuple(gens)
         self._cw_array: np.ndarray | None = None
+        # independent bases (rows, order of each row) of this code and of its dual
+        self._bases: tuple[tuple, tuple] | None = None
 
-    @classmethod
-    def _from_codeword_array(cls, ell: int, length: int, arr: np.ndarray) -> "LinearCode":
-        """Build a code from its lex-sorted codeword matrix; the rows become its generators."""
-        code = cls(ell, length)
-        code.generators = tuple(map(tuple, arr.tolist()))
-        code._cw_array = arr
-        return code
+    def _basis_pair(self) -> tuple[tuple, tuple]:
+        """Independent bases of this code and of its dual, from one diagonal form.
+
+        With U G V = diag(d_j), and d_j = 0 past the rank, x is in the dual iff
+        d_j (V^-1 x)_j = 0 for every j. So column j of V times ell / gcd(d_j, ell),
+        of order gcd(d_j, ell), generate the dual; rows of order 1 are dropped.
+        """
+        if self._bases is None:
+            ell, n = self.ell, self.length
+            rows, diag, columns = _diagonal_form(self.generators, ell, n)
+            gcds = [math.gcd(d, ell) for d in diag] + [ell] * (n - len(diag))
+            own = (tuple(map(tuple, rows)), tuple(ell // g for g in gcds[: len(diag)]))
+            dual_rows = tuple(
+                tuple(e * (ell // g) % ell for e in col) for col, g in zip(columns, gcds) if g > 1
+            )
+            self._bases = (own, (dual_rows, tuple(g for g in gcds if g > 1)))
+        return self._bases
 
     def _span_array(self) -> np.ndarray:
-        """Closure of the generators, as a lex-sorted matrix of rows.
-
-        Each multiple t*g (0 <= t < r, the order of g) is reduced mod ell before
-        it is added, so a sum of two residues, at most 2*(ell - 1), is the
-        largest value the rows ever hold.
-        """
+        """Every codeword, as a lex-sorted matrix of rows: the basis is independent,
+        so each codeword is one sum of c_i times row i, with 0 <= c_i < order_i."""
+        rows, orders = self._basis_pair()[0]
         ell, n = self.ell, self.length
-        dtype = _dtype_for(2 * (ell - 1))
-        cur = np.zeros((1, n), dtype=dtype)
-        count = 1
-        for g in self.generators:
-            r = _vector_order(g, ell)
-            if r == 1:
-                continue
-            count += (r - 1) * len(cur)
-            charge(count, f"span of code over Z_{ell}^{n}")
-            mdtype = _dtype_for((r - 1) * (ell - 1))
-            ts = np.arange(r, dtype=mdtype)[:, None]
-            multiples = (ts * np.array(g, dtype=mdtype) % ell).astype(dtype)
-            words = (cur[None, :, :] + multiples[:, None, :]).reshape(-1, n)
-            words[words >= ell] -= ell
-            cur = _sorted_unique_rows(words)
-        return cur
+        size = math.prod(orders)
+        charge(size, f"span of code over Z_{ell}^{n}")
+        # a sum of products is at most sum (order_i - 1)(ell - 1); ell itself must fit too
+        dtype = _dtype_for(max(ell, sum((r - 1) * (ell - 1) for r in orders)))
+        coeffs = np.indices(orders).reshape(len(orders), size).T
+        words = coeffs.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).reshape(-1, n)
+        del coeffs  # free the coefficients before the sort copies the words
+        words %= ell
+        return words[np.lexsort(words.T[::-1])]
 
     def codeword_array(self) -> np.ndarray:
         """All codewords as rows of a lex-sorted matrix: int64, or object past int64."""
@@ -129,26 +159,18 @@ class LinearCode:
         return tuple(map(tuple, self.codeword_array().tolist()))
 
     def cardinality(self) -> int:
-        return len(self.codeword_array())
+        """|C|: the product of the orders of an independent basis."""
+        return math.prod(self._basis_pair()[0][1])
 
     def dual(self) -> "LinearCode":
-        """All vectors orthogonal to this code under the standard inner product.
+        """All vectors orthogonal to this code, generated by its dual basis.
 
-        Scans the whole ambient space; orthogonality is tested against the
-        generators only, which suffices by linearity. The returned code's
-        generator list is its full codeword list.
+        The returned code knows this code's basis as the basis of its own dual.
         """
-        ell, n = self.ell, self.length
-        charge(ell**n * max(1, len(self.generators)), f"dual scan over Z_{ell}^{n}")
-        dtype = _dtype_for(n * (ell - 1) ** 2)
-        G = np.array(self.generators, dtype=dtype).reshape(-1, n)
-        kept = []
-        for chunk in _vector_chunks(ell, n):
-            if len(G):
-                rem = (chunk.astype(dtype, copy=False) @ G.T) % ell
-                chunk = chunk[~rem.astype(bool).any(axis=1)]
-            kept.append(chunk)
-        return LinearCode._from_codeword_array(ell, n, np.vstack(kept))
+        own, dual = self._basis_pair()
+        code = LinearCode(self.ell, self.length, dual[0])
+        code._bases = (dual, own)
+        return code
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -302,8 +324,12 @@ def parse_code_spec(text: str) -> LinearCode:
     return LinearCode(modulus, length, gens)
 
 
+def format_codewords(code: LinearCode, lead: str = "") -> str:
+    """Every codeword in lex order, one line each: `lead`, then its residues."""
+    row = lead + " ".join(["%d"] * code.length) + "\n"
+    return "".join([row % word for word in map(tuple, code.codeword_array().tolist())])
+
+
 def format_code_spec(code: LinearCode) -> str:
-    """Render a code in the code-spec text format (one gen line per generator)."""
-    lines = [f"modulus {code.ell}", f"length {code.length}"]
-    lines.extend("gen " + " ".join(map(str, g)) for g in code.generators)
-    return "\n".join(lines) + "\n"
+    """Render a code in the canonical code-spec text: one gen line per codeword, lex order."""
+    return f"modulus {code.ell}\nlength {code.length}\n" + format_codewords(code, "gen ")

@@ -357,7 +357,7 @@ def test_search_lattice_walk_is_charged(capsys):
     assert code == 0 and out == "verdict=none\n"
 
 
-def test_dual_scan_charges_every_generator(capsys, tmp_path):
+def test_dual_of_printed_dual_answers(capsys, tmp_path):
     # a dual printed by `mwl dual` lists every codeword as a generator: 2^12 of them here
     spec = tmp_path / "z2.txt"
     spec.write_text("modulus 2\nlength 13\ngen " + " ".join(["1"] + ["0"] * 12) + "\n")
@@ -365,8 +365,16 @@ def test_dual_scan_charges_every_generator(capsys, tmp_path):
     assert code == 0 and out.count("gen ") == 2**12
     spec.write_text(out)
     code, out, err = run(capsys, ["dual", "--code", str(spec)])
+    assert code == 0 and err == ""
+    zeros = " ".join(["0"] * 12)
+    assert out == f"modulus 2\nlength 13\ngen 0 {zeros}\ngen 1 {zeros}\n"
+
+
+def test_error_prints_no_partial_stdout(capsys):
+    # the last row of K for q = 10^2500 has an entry past str()'s 4,300-digit limit
+    code, out, err = run(capsys, ["kraw", "--q", str(10**2500), "--n", "2"])
     assert code == 3
-    assert out == "" and "dual scan" in err
+    assert out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("ell, weight", [(10**8, "lee"), (20000, "euclidean")])

@@ -2,10 +2,9 @@
 
 import pytest
 
-from mwl.gray import prime_base
-from mwl.homopoly import HomoPoly
+from mwl.gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
+from mwl.homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from mwl.identity import (
-    IdentityConditions,
     IdentityQuery,
     IdentityStatus,
     IdentityVerdict,
@@ -15,7 +14,6 @@ from mwl.identity import (
     existence_condition,
     scan_existence,
     search_counterexample,
-    verify_identity_conditions,
 )
 from mwl.weights import WeightKind, weight_enumerator
 from mwl.zmod import LinearCode, all_linear_codes
@@ -180,25 +178,32 @@ def test_search_budget():
         search_counterexample(11, LEE, 11, 4)
 
 
+def _transform_is_enumerator(code, t):
+    transformed = substitute_transform(weight_enumerator(code, LEE), t, code.cardinality())
+    return is_nonneg_integer_poly(transformed) and transformed.coefficient(0) == 1
+
+
 def test_verify_identity_conditions():
-    assert verify_identity_conditions(4, 2, LinearCode(4, 1, [(2,)])) == IdentityConditions(
-        bijective_gray=True, transform_is_enumerator=True, dual_match=True
-    )
-    assert verify_identity_conditions(6, 2, LinearCode(6, 1, [(3,)])) == IdentityConditions(
-        bijective_gray=False, transform_is_enumerator=True, dual_match=False
-    )
-    # with m=3 the transform picks up non-integer coefficients
-    assert verify_identity_conditions(6, 3, LinearCode(6, 1, [(3,)])) == IdentityConditions(
-        bijective_gray=False, transform_is_enumerator=False, dual_match=False
-    )
+    # (ell, m, generator): bijective Gray map, transform is an enumerator, identity holds
+    cases = [
+        (4, 2, 2, True, True, IdentityStatus.HOLDS),
+        (6, 2, 3, False, True, IdentityStatus.FAILS),
+        # with m=3 the transform picks up non-integer coefficients
+        (6, 3, 3, False, False, IdentityStatus.FAILS),
+    ]
+    for ell, m, g, bijective, enumerator, status in cases:
+        code = LinearCode(ell, 1, [(g,)])
+        assert is_bijective_extension(canonical_gray_map(ell, make_field(m))) is bijective
+        assert _transform_is_enumerator(code, m) is enumerator
+        assert check_identity(IdentityQuery(code, LEE, m)).status is status
 
 
 def test_holds_implies_dual_match():
     for code in all_linear_codes(4, 2):
         verdict = check_identity(IdentityQuery(code, LEE, 2))
-        conditions = verify_identity_conditions(4, 2, code)
         assert verdict.status is IdentityStatus.HOLDS
-        assert conditions.dual_match
+        transformed = substitute_transform(weight_enumerator(code, LEE), 2, code.cardinality())
+        assert transformed == weight_enumerator(code.dual(), LEE)
 
 
 def test_query_validation():

@@ -1,5 +1,6 @@
-"""Property tests: arbitrary CLI text never escapes as a traceback, and the
-fixed-root form agrees with the existence condition at any modulus."""
+"""Property tests: arbitrary CLI text never escapes as a traceback, the
+fixed-root form agrees with the existence condition at any modulus, and the
+diagonal form's span and dual agree with brute force and with duality."""
 
 import contextlib
 import io
@@ -12,6 +13,8 @@ from mwl.cli import main
 from mwl.identity import IdentityStatus, check_shiromoto_form, existence_condition
 from mwl.weights import WeightKind
 from mwl.zmod import LinearCode
+
+from oracles import brute_dual, brute_span
 
 SMALL = st.integers(-3, 12)
 PROPERTY_BUDGET = "20000"
@@ -86,3 +89,55 @@ def test_shiromoto_form_agrees_with_existence_condition(ell, kind):
         assert verdict.status is IdentityStatus.NOT_WELL_FORMED
     else:
         assert verdict.status is IdentityStatus.HOLDS
+
+
+@st.composite
+def small_codes(draw):
+    """Up to 3 generators over Z_ell^n with ell <= 12 and ell^n <= 4096."""
+    ell = draw(st.integers(2, 12))
+    n = draw(st.integers(1, max(i for i in range(1, 13) if ell**i <= 4096)))
+    gens = draw(st.lists(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), max_size=3))
+    return ell, n, gens
+
+
+@st.composite
+def big_modulus_codes(draw):
+    """Codes of length 1-2 over ell = m * d > 2^63 inside (d Z_ell)^n, so |C| <= m^n."""
+    m = draw(st.integers(2, 12))
+    d = draw(st.integers(2**63 // m + 1, 2**70))
+    n = draw(st.integers(1, 2))
+    entries = st.integers(0, 2**80).map(lambda c: c * d)
+    gens = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+    return m * d, n, gens
+
+
+def _check_duality(code):
+    ell, n = code.ell, code.length
+    dual = code.dual()
+    assert len(code.codewords()) == code.cardinality()
+    assert code.cardinality() * dual.cardinality() == ell**n
+    assert dual.dual() == code
+    # diagonalise the dual's generators afresh
+    assert LinearCode(ell, n, dual.generators).dual() == code
+    return dual
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=small_codes())
+def test_diagonal_form_matches_brute_force(spec):
+    ell, n, gens = spec
+    code = LinearCode(ell, n, gens)
+    assert set(code.codewords()) == brute_span(gens, ell, n)
+    dual = _check_duality(code)
+    assert set(dual.codewords()) == brute_dual(gens, ell, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=big_modulus_codes())
+def test_diagonal_form_duality_past_int64(spec):
+    ell, n, gens = spec
+    code = LinearCode(ell, n, gens)
+    dual = _check_duality(code)
+    for x in dual.generators:
+        for g in code.generators:
+            assert sum(a * b for a, b in zip(x, g)) % ell == 0

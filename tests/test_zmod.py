@@ -62,8 +62,9 @@ def test_dual_of_zero_code_is_full_space():
 
 
 def test_dual_generator_list_is_codeword_list():
-    dual = LinearCode(6, 1, [(3,)]).dual()
-    assert dual.generators == dual.codewords()
+    text = format_code_spec(LinearCode(6, 2, [(3, 0)]).dual())
+    words = [(a, b) for a in (0, 2, 4) for b in range(6)]
+    assert text == "modulus 6\nlength 2\n" + "".join(f"gen {a} {b}\n" for a, b in words)
 
 
 def test_dual_matches_bruteforce_random():
@@ -231,8 +232,12 @@ def test_budget_exceeded_on_span():
 
 
 def test_budget_exceeded_on_dual():
-    with budget_limit(50), pytest.raises(BudgetExceeded):
-        LinearCode(5, 3, [(1, 2, 3)]).dual()
+    # the dual's span charges |C_dual| = 25; its diagonal form only (1 + 3) * 3 * 1
+    code = LinearCode(5, 3, [(1, 2, 3)])
+    with budget_limit(24), pytest.raises(BudgetExceeded, match="span"):
+        code.dual().codewords()
+    with budget_limit(25):
+        assert len(code.dual().codewords()) == 25
 
 
 def test_all_linear_codes_exhaustive_cap():
@@ -243,11 +248,12 @@ def test_all_linear_codes_exhaustive_cap():
 
 
 def test_dual_charge_counts_generators():
+    # k = 2 generators of length n = 3: the diagonal form charges (k + n) * n * min(k, n)
     code = LinearCode(5, 3, [(1, 2, 3), (0, 1, 1)])
-    with budget_limit(2 * 5**3 - 1), pytest.raises(BudgetExceeded):
+    with budget_limit(29), pytest.raises(BudgetExceeded, match="diagonal form"):
         code.dual()
-    with budget_limit(2 * 5**3):
-        assert code.dual().cardinality() == 5
+    with budget_limit(30):
+        assert len(code.dual().codewords()) == 5
 
 
 def test_lattice_walk_charges_subgroups():
@@ -263,34 +269,41 @@ def test_lattice_walk_charges_subgroups():
 
 
 def test_budget_limit_nests_and_restores(monkeypatch):
-    monkeypatch.setenv("MWL_BUDGET", "10")
-    code = LinearCode(5, 2, [(1, 0)])
+    monkeypatch.setenv("MWL_BUDGET", "24")
+    code = LinearCode(5, 3, [(1, 0, 0)])  # |C_dual| = 25
     with budget_limit(1000):
         with budget_limit(24):
             with pytest.raises(BudgetExceeded):
-                code.dual()
-        assert code.dual().cardinality() == 5
+                code.dual().codewords()
+        with budget_limit(25):
+            assert len(code.dual().codewords()) == 25
         with budget_limit(None):  # None defers to MWL_BUDGET again
             with pytest.raises(BudgetExceeded):
-                code.dual()
+                code.dual().codewords()
     with pytest.raises(BudgetExceeded):
-        code.dual()
+        code.dual().codewords()
 
 
 def test_env_budget_override(monkeypatch):
-    monkeypatch.setenv("MWL_BUDGET", "10")
+    monkeypatch.setenv("MWL_BUDGET", "24")
     with pytest.raises(BudgetExceeded):
-        LinearCode(5, 2, [(1, 0)]).dual()
-    monkeypatch.setenv("MWL_BUDGET", "1000000")
-    assert LinearCode(5, 2, [(1, 0)]).dual().cardinality() == 5
+        LinearCode(5, 3, [(1, 0, 0)]).dual().codewords()
+    monkeypatch.setenv("MWL_BUDGET", "25")
+    assert len(LinearCode(5, 3, [(1, 0, 0)]).dual().codewords()) == 25
 
 
 def test_parse_code_spec_roundtrip():
-    text = "modulus 6\nlength 2\ngen 2 0\ngen 0 3\n"
-    code = parse_code_spec(text)
+    code = parse_code_spec("modulus 6\nlength 2\ngen 2 0\ngen 0 3\n")
     assert code.ell == 6 and code.length == 2
     assert code.generators == ((2, 0), (0, 3))
-    assert format_code_spec(code) == text
+    canonical = format_code_spec(code)
+    assert canonical == (
+        "modulus 6\nlength 2\n"
+        "gen 0 0\ngen 0 3\ngen 2 0\ngen 2 3\ngen 4 0\ngen 4 3\n"
+    )
+    assert parse_code_spec(canonical) == code
+    for code in all_linear_codes(4, 2):
+        assert parse_code_spec(format_code_spec(code)) == code
 
 
 def test_parse_code_spec_comments_and_reduction():
