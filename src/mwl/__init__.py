@@ -41,7 +41,6 @@ from .identity import (
 )
 from .krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from .weights import (
-    WeightDistribution,
     WeightKind,
     euclidean_weight,
     lee_weight,
@@ -49,9 +48,7 @@ from .weights import (
     weight_enumerator,
 )
 from .zmod import (
-    EXHAUSTIVE_CAP,
     LinearCode,
-    all_linear_codes,
     format_code_spec,
     parse_code_spec,
 )

@@ -58,10 +58,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def neg(self, a: int) -> int:
-        row = self.add_table[a]
-        return row.index(0)
-
     def elements(self) -> range:
         return range(self.m)
 

@@ -43,11 +43,6 @@ class HomoPoly:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def evaluate(self, x: int | Fraction, y: int | Fraction) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        D = self.degree
-        return sum((c * x ** (D - i) * y**i for i, c in enumerate(self.coeffs)), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomoPoly):
             return NotImplemented
@@ -135,7 +130,11 @@ def to_text(p: HomoPoly) -> str:
 
 
 def from_text(text: str) -> HomoPoly:
-    """Parse the ``deg D; i:c ...`` polynomial format."""
+    """Parse the ``deg D; i:c ...`` polynomial format.
+
+    A coefficient is an integer, ``num/den`` or a plain decimal; exponent
+    notation such as ``1e3`` is rejected.
+    """
     head, _, tail = text.strip().partition(";")
     parts = head.split()
     if len(parts) != 2 or parts[0] != "deg":
@@ -156,5 +155,8 @@ def from_text(text: str) -> HomoPoly:
         if i in seen:
             raise ValueError(f"duplicate term index {i}")
         seen.add(i)
+        # Fraction would expand 1e1000000 to 10^1000000 before any charge
+        if "e" in coeff_str or "E" in coeff_str:
+            raise ValueError(f"exponent notation is not accepted: {coeff_str!r}")
         coeffs[i] = Fraction(coeff_str)
     return HomoPoly(coeffs)

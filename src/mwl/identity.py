@@ -2,7 +2,8 @@
 
 Covers: the exact existence condition on the modulus, per-code verification
 of the identity against the dual's enumerator, the fixed-root (Shiromoto)
-form with its integrality check, range scans, and counterexample search.
+form with its integrality check, range scans, and counterexample search,
+which is decided in closed form from the modulus, weight kind and multiplier.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import charge
 from .gray import prime_base
 from .homopoly import HomoPoly, substitute_transform
 from .weights import WeightKind, weight_enumerator
-from .zmod import LinearCode, all_linear_codes, check_exhaustive, validate_modulus
+from .zmod import LinearCode, validate_modulus
 
 
 class IdentityStatus(Enum):
@@ -137,16 +138,18 @@ def search_counterexample(
     """First code (canonical order, lengths 1..max_length) failing the identity.
 
     Returns the code together with its discrepancy polynomial, or None if
-    every code passes.
+    every code passes. The answer is closed form. At x = y = 1 the identity
+    reads ell^n = |C| |C_dual| = t^(nS), with S = kind.scale(ell), so when
+    t^S != ell every code fails, the length-1 zero code first. The triples
+    with t^S = ell are exactly those `existence_condition` accepts, and there
+    every code holds (MacWilliams & Sloane 1977, ch. 5 sec. 6).
     """
     ell = validate_modulus(ell)
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    check_exhaustive(ell, max_length)
-    for n in range(1, max_length + 1):
-        for code in all_linear_codes(ell, n):
-            verdict = check_identity(IdentityQuery(code, kind, multiplier))
-            if verdict.status is IdentityStatus.FAILS:
-                assert verdict.discrepancy is not None
-                return code, verdict.discrepancy
-    return None
+    query = IdentityQuery(LinearCode(ell, 1), kind, multiplier)
+    if existence_condition(ell, kind) == multiplier:
+        return None
+    verdict = check_identity(query)
+    assert verdict.discrepancy is not None
+    return query.code, verdict.discrepancy

@@ -2,25 +2,21 @@
 
 A linear code is an additive subgroup of Z_ell^n. Everything here is exact
 integer arithmetic. One diagonal form of the generators gives a code's size
-and independent bases of the code and of its dual; only the exhaustive
-subgroup stream walks Z_ell^n. The diagonal form, the span and the stream
-charge their work to `errors.charge` before they start, and raise
-BudgetExceeded instead of truncating.
+and independent bases of the code and of its dual; nothing walks all of
+Z_ell^n. The diagonal form and the span charge their work to
+`errors.charge` before they start, and raise BudgetExceeded instead of
+truncating.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, charge
+from .errors import charge
 
-# Hard cap for the exhaustive all-subgroups regime (ell**n).
-EXHAUSTIVE_CAP = 10**4
 
 def validate_modulus(ell: int) -> int:
     ell = int(ell)
@@ -186,104 +182,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode(ell={self.ell}, length={self.length}, generators={self.generators!r})"
-
-
-def check_exhaustive(ell: int, length: int) -> None:
-    """Refuse a walk over all of Z_ell^length unless ell**length <= min(EXHAUSTIVE_CAP, budget)."""
-    total = ell**length
-    if total > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(f"exhaustive walk needs ell**n <= {EXHAUSTIVE_CAP}, got {total}")
-    charge(total, f"exhaustive subgroup enumeration over Z_{ell}^{length}")
-
-
-def all_linear_codes(ell: int, length: int) -> Iterator[LinearCode]:
-    """Every distinct additive subgroup of Z_ell^length, each exactly once.
-
-    Yields in canonical order: lexicographic on the sorted codeword list
-    (so the zero code always comes first). Only available in the exhaustive
-    regime, see `check_exhaustive`; the walk charges (subgroups found) * ell**length
-    before each step.
-    """
-    ell = validate_modulus(ell)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    check_exhaustive(ell, length)
-    codes = _all_codes(ell, length)
-    # charge a cached walk what its last step cost, so the cache changes no verdict
-    charge(len(codes) * ell**length, f"subgroup lattice of Z_{ell}^{length}")
-    yield from codes
-
-
-@lru_cache(maxsize=None)
-def _all_codes(ell: int, n: int) -> tuple[LinearCode, ...]:
-    """BFS over the subgroup lattice: grow every known subgroup by one generator.
-
-    Subgroups are tracked as sorted arrays of packed vector indices (index
-    order equals lexicographic order on vectors). Every subgroup of Z_ell^n
-    needs at most n generators, so single-generator extensions reach all of
-    them.
-    """
-    N = ell**n
-    pows = np.array([ell ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    idx = np.arange(N, dtype=np.int64)
-    digits = np.stack([(idx // p) % ell for p in pows], axis=1)
-
-    if N <= 1024:
-        # full addition table: add[u, v] = index of vector u + vector v
-        table = np.empty((N, N), dtype=np.int64)
-        for v in range(N):
-            table[:, v] = ((digits + digits[v]) % ell) @ pows
-
-        def add_set(h: np.ndarray, w: int) -> np.ndarray:
-            return table[h, w]
-
-        def add_one(u: int, w: int) -> int:
-            return int(table[u, w])
-
-    else:
-
-        def add_set(h: np.ndarray, w: int) -> np.ndarray:
-            return ((digits[h] + digits[w]) % ell) @ pows
-
-        def add_one(u: int, w: int) -> int:
-            return int(((digits[u] + digits[w]) % ell) @ pows)
-
-    zero = np.array([0], dtype=np.int64)
-    subgroups: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {zero.tobytes(): (zero, ())}
-    queue = deque([zero.tobytes()])
-    while queue:
-        charge(len(subgroups) * N, f"subgroup lattice of Z_{ell}^{n}")
-        H, gens = subgroups[queue.popleft()]
-        members = set(H.tolist())
-        # vectors already known to regenerate an extension we have computed
-        skip = set(members)
-        for v in range(1, N):
-            if v in skip:
-                continue
-            cosets = [H]
-            w = v
-            while w not in members:
-                cosets.append(add_set(H, w))
-                w = add_one(w, v)
-            r = len(cosets)
-            K = np.sort(np.concatenate(cosets))
-            key = K.tobytes()
-            if key not in subgroups:
-                subgroups[key] = (K, gens + (v,))
-                queue.append(key)
-            # u in coset t with gcd(t, r) = 1 generates the same extension
-            for t in range(1, r):
-                if math.gcd(t, r) == 1:
-                    skip.update(cosets[t].tolist())
-
-    ordered = sorted(subgroups.values(), key=lambda item: tuple(item[0].tolist()))
-    codes = []
-    for K, gens in ordered:
-        code = LinearCode(ell, n, tuple(tuple(digits[g].tolist()) for g in gens))
-        code._cw_array = digits[K]
-        codes.append(code)
-    return tuple(codes)
 
 
 def parse_code_spec(text: str) -> LinearCode:

@@ -2,20 +2,28 @@
 
 Everything here deliberately avoids the library's own code paths: spans are
 brute-forced over all coefficient tuples, duals test orthogonality against
-every codeword, polynomial substitution goes through sympy, and Krawtchouk
+every codeword, the subgroup lattice is walked by adding one generator at a
+time, polynomial substitution goes through sympy, and Krawtchouk
 values come from the defining sum with exact big-integer binomials. The last
 two functions apply such references to the library's own output.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd
 
+import numpy as np
 import sympy
 
 from mwl.errors import LengthMismatch
 from mwl.homopoly import HomoPoly, substitute_transform
 from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
+from mwl.zmod import LinearCode
+
+# The lattice walk refuses to hold more subgroups than this: Z_2^7 has 29,212.
+LATTICE_CAP = 10**4
 
 
 def brute_span(gens, ell, n):
@@ -47,6 +55,80 @@ def brute_all_subgroups(ell, n):
         for combo in itertools.combinations(vecs, k):
             seen.add(frozenset(brute_span(combo, ell, n)))
     return seen
+
+
+@lru_cache(maxsize=None)
+def all_linear_codes(ell, n):
+    """Every additive subgroup of Z_ell^n, once each, in canonical order.
+
+    Canonical order is lexicographic on the sorted codeword list, so the zero
+    code comes first. A BFS over the subgroup lattice grows every known
+    subgroup by one generator; every subgroup of Z_ell^n needs at most n
+    generators, so single-generator extensions reach all of them. Subgroups
+    are tracked as sorted arrays of packed vector indices (index order equals
+    lexicographic order on vectors). The walk stops with an AssertionError
+    once it holds more than LATTICE_CAP subgroups.
+    """
+    N = ell**n
+    pows = np.array([ell ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    idx = np.arange(N, dtype=np.int64)
+    digits = np.stack([(idx // p) % ell for p in pows], axis=1)
+
+    if N <= 1024:
+        # full addition table: add[u, v] = index of vector u + vector v
+        table = np.empty((N, N), dtype=np.int64)
+        for v in range(N):
+            table[:, v] = ((digits + digits[v]) % ell) @ pows
+
+        def add_set(h, w):
+            return table[h, w]
+
+        def add_one(u, w):
+            return int(table[u, w])
+
+    else:
+
+        def add_set(h, w):
+            return ((digits[h] + digits[w]) % ell) @ pows
+
+        def add_one(u, w):
+            return int(((digits[u] + digits[w]) % ell) @ pows)
+
+    zero = np.array([0], dtype=np.int64)
+    subgroups = {zero.tobytes(): (zero, ())}
+    queue = deque([zero.tobytes()])
+    while queue:
+        assert len(subgroups) <= LATTICE_CAP, f"Z_{ell}^{n} has over {LATTICE_CAP} subgroups"
+        H, gens = subgroups[queue.popleft()]
+        members = set(H.tolist())
+        # vectors already known to regenerate an extension we have computed
+        skip = set(members)
+        for v in range(1, N):
+            if v in skip:
+                continue
+            cosets = [H]
+            w = v
+            while w not in members:
+                cosets.append(add_set(H, w))
+                w = add_one(w, v)
+            r = len(cosets)
+            K = np.sort(np.concatenate(cosets))
+            key = K.tobytes()
+            if key not in subgroups:
+                subgroups[key] = (K, gens + (v,))
+                queue.append(key)
+            # u in coset t with gcd(t, r) = 1 generates the same extension
+            for t in range(1, r):
+                if gcd(t, r) == 1:
+                    skip.update(cosets[t].tolist())
+
+    ordered = sorted(subgroups.values(), key=lambda item: tuple(item[0].tolist()))
+    codes = []
+    for K, gens in ordered:
+        code = LinearCode(ell, n, tuple(tuple(digits[g].tolist()) for g in gens))
+        code._cw_array = digits[K]  # the walk already holds the sorted codewords
+        codes.append(code)
+    return tuple(codes)
 
 
 def brute_weight_enumerator(codewords, ell, n, weight_of_residue, scale):

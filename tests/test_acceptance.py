@@ -28,9 +28,9 @@ from mwl.identity import (
 )
 from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from mwl.weights import WeightKind, weight_enumerator
-from mwl.zmod import LinearCode, all_linear_codes
+from mwl.zmod import LinearCode
 
-from oracles import transforms_agree
+from oracles import all_linear_codes, transforms_agree
 
 LEE = WeightKind.LEE
 EUC = WeightKind.EUCLIDEAN

@@ -282,7 +282,8 @@ CODE_COMMANDS = [
     ["wenum", "--weight", "lee"],
     ["check", "--weight", "lee", "--m", "2"],
     ["shiromoto", "--weight", "lee"],
-    ["search", "--modulus", "2", "--weight", "lee", "--m", "2", "--max-length", "1"],
+    # a failing triple: its zero code is charged, where a holding triple charges nothing
+    ["search", "--modulus", "6", "--weight", "lee", "--m", "2", "--max-length", "1"],
 ]
 
 
@@ -341,6 +342,12 @@ def test_zero_denominator_exits_3(capsys):
     assert out == "" and err.startswith("error:")
 
 
+def test_exponent_notation_is_refused(capsys):
+    code, out, err = run(capsys, ["transform", "--poly", "deg 0; 0:1e2000000", "--m", "2"])
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "exponent" in err
+
+
 def test_huge_degree_is_charged_before_it_is_built(capsys):
     code, out, err = run(capsys, ["transform", "--poly", "deg 1000000000; 0:1", "--m", "2"])
     assert code == 3
@@ -348,13 +355,20 @@ def test_huge_degree_is_charged_before_it_is_built(capsys):
 
 
 def test_search_lattice_walk_is_charged(capsys):
-    # the Z_2^6 lattice has 2825 subgroups: 2825 * 2^6 units at its last step
+    # search walks no lattice: Z_2^6 (2825 subgroups) and Z_5^6 (5^6 > 10^4) both answer
     argv = ["search", "--modulus", "2", "--weight", "lee", "--m", "2", "--max-length", "6"]
     code, out, err = run(capsys, argv + ["--budget", "100000"])
-    assert code == 3
-    assert out == "" and "subgroup lattice" in err
-    code, out, _ = run(capsys, argv + ["--budget", "200000"])
-    assert code == 0 and out == "verdict=none\n"
+    assert code == 0 and out == "verdict=none\n" and err == ""
+    argv = ["search", "--modulus", "5", "--weight", "lee", "--m", "5", "--max-length", "6"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == (
+        "verdict=found length=1\n"
+        "modulus 5\n"
+        "length 1\n"
+        "gen 0\n"
+        "discrepancy=deg 2; 1:6 2:14\n"
+    )
 
 
 def test_dual_of_printed_dual_answers(capsys, tmp_path):

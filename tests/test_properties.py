@@ -1,16 +1,24 @@
 """Property tests: arbitrary CLI text never escapes as a traceback, the
-fixed-root form agrees with the existence condition at any modulus, and the
-diagonal form's span and dual agree with brute force and with duality."""
+fixed-root form agrees with the existence condition at any modulus, the
+identity holds exactly where the existence condition says, and the diagonal
+form's span and dual agree with brute force and with duality."""
 
 import contextlib
 import io
 import sys
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwl.cli import main
-from mwl.identity import IdentityStatus, check_shiromoto_form, existence_condition
+from mwl.identity import (
+    IdentityQuery,
+    IdentityStatus,
+    check_identity,
+    check_shiromoto_form,
+    existence_condition,
+)
 from mwl.weights import WeightKind
 from mwl.zmod import LinearCode
 
@@ -109,6 +117,27 @@ def big_modulus_codes(draw):
     entries = st.integers(0, 2**80).map(lambda c: c * d)
     gens = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
     return m * d, n, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=small_codes(),
+    kind=st.sampled_from([WeightKind.LEE, WeightKind.EUCLIDEAN]),
+    t=st.integers(2, 12),
+)
+@example(spec=(4, 2, [[1, 1]]), kind=WeightKind.LEE, t=2)
+@example(spec=(3, 3, [[1, 2, 0]]), kind=WeightKind.EUCLIDEAN, t=3)
+@example(spec=(6, 2, [[2, 3]]), kind=WeightKind.LEE, t=2)
+def test_identity_holds_iff_existence_condition(spec, kind, t):
+    ell, n, gens = spec
+    code = LinearCode(ell, n, gens)
+    verdict = check_identity(IdentityQuery(code, kind, t))
+    assert (verdict.status is IdentityStatus.HOLDS) == (existence_condition(ell, kind) == t)
+    if verdict.status is IdentityStatus.FAILS:
+        # at x = y = 1 the transform sums to t^(nS) / |C| and the dual's enumerator to |C_dual|
+        S = kind.scale(ell)
+        total = Fraction(t ** (n * S) - ell**n, code.cardinality())
+        assert sum(verdict.discrepancy.coeffs) == total
 
 
 def _check_duality(code):

@@ -1,4 +1,5 @@
-"""Tests for Z_ell vector spans, duals, and the exhaustive subgroup stream."""
+"""Tests for Z_ell vector spans, duals and code-spec text, and for the reference
+subgroup lattice walk in `oracles` that other tests iterate over."""
 
 import math
 import random
@@ -7,15 +8,9 @@ import numpy as np
 import pytest
 
 from mwl.errors import BudgetExceeded, budget_limit
-from mwl.zmod import (
-    LinearCode,
-    _dtype_for,
-    all_linear_codes,
-    format_code_spec,
-    parse_code_spec,
-)
+from mwl.zmod import LinearCode, _dtype_for, format_code_spec, parse_code_spec
 
-from oracles import brute_all_subgroups, brute_dual, brute_span
+from oracles import all_linear_codes, brute_all_subgroups, brute_dual, brute_span
 
 
 def test_span_order2_element():
@@ -87,6 +82,10 @@ def test_all_linear_codes_counts():
     assert len(list(all_linear_codes(2, 1))) == 2
     assert len(list(all_linear_codes(4, 1))) == 3
     assert len(list(all_linear_codes(6, 1))) == 4
+    assert len(list(all_linear_codes(2, 4))) == 67
+    # Z_2^9 has 8.3 million subgroups: the walk refuses once it holds 10^4
+    with pytest.raises(AssertionError, match="subgroups"):
+        all_linear_codes(2, 9)
 
 
 def test_all_linear_codes_matches_bruteforce():
@@ -240,13 +239,6 @@ def test_budget_exceeded_on_dual():
         assert len(code.dual().codewords()) == 25
 
 
-def test_all_linear_codes_exhaustive_cap():
-    with pytest.raises(BudgetExceeded):
-        list(all_linear_codes(11, 4))  # 14641 > 10**4
-    with budget_limit(3), pytest.raises(BudgetExceeded):
-        list(all_linear_codes(4, 2))
-
-
 def test_dual_charge_counts_generators():
     # k = 2 generators of length n = 3: the diagonal form charges (k + n) * n * min(k, n)
     code = LinearCode(5, 3, [(1, 2, 3), (0, 1, 1)])
@@ -254,18 +246,6 @@ def test_dual_charge_counts_generators():
         code.dual()
     with budget_limit(30):
         assert len(code.dual().codewords()) == 5
-
-
-def test_lattice_walk_charges_subgroups():
-    # 2^9 passes check_exhaustive; the walk's subgroup count does not
-    with pytest.raises(BudgetExceeded, match="subgroup lattice"):
-        list(all_linear_codes(2, 9))
-    # Z_2^4 has 67 subgroups: 67 * 16 units, charged again on a cached walk
-    assert len(list(all_linear_codes(2, 4))) == 67
-    with budget_limit(67 * 16 - 1), pytest.raises(BudgetExceeded):
-        list(all_linear_codes(2, 4))
-    with budget_limit(67 * 16):
-        assert len(list(all_linear_codes(2, 4))) == 67
 
 
 def test_budget_limit_nests_and_restores(monkeypatch):
