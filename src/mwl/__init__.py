@@ -4,7 +4,6 @@ from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DegreeMismatch,
-    LengthMismatch,
     NotPrimePower,
     budget_limit,
 )
@@ -18,7 +17,6 @@ from .gray import (
     image_is_linear,
     is_bijective_extension,
     is_weight_preserving,
-    make_field,
     parse_gray_table,
 )
 from .homopoly import (

@@ -14,11 +14,11 @@ import sys
 
 from .errors import BudgetExceeded, budget_limit
 from .gray import (
+    Field,
     canonical_gray_map,
     format_gray_table,
     is_bijective_extension,
     is_weight_preserving,
-    make_field,
     parse_gray_table,
 )
 from .homopoly import from_text, substitute_transform, to_text
@@ -89,7 +89,7 @@ def cmd_wenum(args) -> int:
 
 
 def cmd_gray(args) -> int:
-    field = make_field(args.m)
+    field = Field(args.m)
     if args.map is not None:
         gmap = parse_gray_table(_read_text(args.map), field)
         if args.modulus is not None and gmap.ell != args.modulus:

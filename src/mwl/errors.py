@@ -47,9 +47,5 @@ class DegreeMismatch(ValueError):
     """Two homogeneous polynomials of different degrees were combined."""
 
 
-class LengthMismatch(ValueError):
-    """A coefficient sequence does not match the expected length n + 1."""
-
-
 class NotPrimePower(ValueError):
     """Requested field size is not a supported prime power."""

@@ -7,7 +7,7 @@ weight on F_m^(ell1 * n), where ell1 = floor(ell/2).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import isqrt
 from typing import Sequence
 
 from .errors import NotPrimePower, charge
@@ -28,6 +28,7 @@ def prime_base(q: int) -> int | None:
     """The prime p with q = p^k for some k >= 1, or None if q is not a prime power."""
     if q < 2:
         return None
+    charge(isqrt(q), f"trial division of {q}")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -36,33 +37,6 @@ def prime_base(q: int) -> int | None:
             return p if q == 1 else None
         p += 1
     return q  # no divisor up to sqrt(q): q itself is prime
-
-
-class Field:
-    """Finite field with elements labelled 0..m-1 and full lookup tables.
-
-    For prime m the label is the residue itself. For m in {4, 8, 9, 16} the
-    element c0 + c1*a + c2*a^2 + ... (a a root of the fixed irreducible over
-    F_p) gets label c0 + c1*p + c2*p^2 + ...
-    """
-
-    def __init__(self, m: int, p: int, add_table, mul_table):
-        self.m = m
-        self.p = p
-        self.add_table = add_table
-        self.mul_table = mul_table
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def elements(self) -> range:
-        return range(self.m)
-
-    def __repr__(self) -> str:
-        return f"Field(m={self.m})"
 
 
 def _digits(label: int, p: int, k: int) -> list[int]:
@@ -80,20 +54,35 @@ def _label(digs: Sequence[int], p: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def make_field(m: int) -> Field:
-    """Field with m elements: any prime, or 4, 8, 9, 16 via fixed irreducibles."""
-    m = int(m)
-    if prime_base(m) == m:
-        add = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-        mul = tuple(tuple((a * b) % m for b in range(m)) for a in range(m))
-        return Field(m, m, add, mul)
-    if m not in _IRREDUCIBLES:
-        raise NotPrimePower(f"no field of size {m} available")
-    p, poly = _IRREDUCIBLES[m]
-    k = len(poly) - 1
+class Field:
+    """Finite field with m elements: any prime, or 4, 8, 9, 16 via fixed irreducibles.
 
-    def mul_elems(a: int, b: int) -> int:
+    The field is F_p[a] / (f) for a prime p and a monic irreducible f of
+    degree k over F_p; a prime field is k = 1 with f = x. The element
+    c0 + c1*a + c2*a^2 + ... gets label c0 + c1*p + c2*p^2 + ..., so for
+    prime m the label is the residue itself. Sums and products are computed
+    from the labels on each call; no table is built.
+    """
+
+    def __init__(self, m: int):
+        m = int(m)
+        if m in _IRREDUCIBLES:
+            p, poly = _IRREDUCIBLES[m]
+        elif prime_base(m) == m:
+            p, poly = m, (0, 1)
+        else:
+            raise NotPrimePower(f"no field of size {m} available")
+        self.m = m
+        self.p = p
+        self.poly = poly
+        self.k = len(poly) - 1
+
+    def add(self, a: int, b: int) -> int:
+        p, k = self.p, self.k
+        return _label([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+    def mul(self, a: int, b: int) -> int:
+        p, k, poly = self.p, self.k, self.poly
         da, db = _digits(a, p, k), _digits(b, p, k)
         prod = [0] * (2 * k - 1)
         for i, ca in enumerate(da):
@@ -109,15 +98,8 @@ def make_field(m: int) -> Field:
                     prod[d - k + j] = (prod[d - k + j] - c * poly[j]) % p
         return _label(prod[:k], p)
 
-    add = tuple(
-        tuple(
-            _label([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
-            for b in range(m)
-        )
-        for a in range(m)
-    )
-    mul = tuple(tuple(mul_elems(a, b) for b in range(m)) for a in range(m))
-    return Field(m, p, add, mul)
+    def __repr__(self) -> str:
+        return f"Field(m={self.m})"
 
 
 class GrayMap:
@@ -144,9 +126,6 @@ class GrayMap:
         if len(rows) != self.ell:
             raise ValueError(f"need {self.ell} rows, got {len(rows)}")
         self.table: tuple[tuple[int, ...], ...] = tuple(rows)
-
-    def __call__(self, a: int) -> tuple[int, ...]:
-        return self.table[a]
 
     def __repr__(self) -> str:
         return f"GrayMap(ell={self.ell}, m={self.field.m})"
@@ -223,13 +202,12 @@ def image_is_linear(gmap: GrayMap, code: LinearCode) -> bool:
     field = gmap.field
     charge(code.cardinality() ** 2, f"image linearity check over Z_{code.ell}^{code.length}")
     image = {apply_gray(gmap, c) for c in code.codewords()}
-    add, mul = field.add_table, field.mul_table
     for u in image:
         for v in image:
-            if tuple(add[a][b] for a, b in zip(u, v)) not in image:
+            if tuple(field.add(a, b) for a, b in zip(u, v)) not in image:
                 return False
         for lam in range(2, field.m):
-            if tuple(mul[lam][a] for a in u) not in image:
+            if tuple(field.mul(lam, a) for a in u) not in image:
                 return False
     return True
 

@@ -111,7 +111,10 @@ def substitute_transform(p: HomoPoly, multiplier: int, scale: int) -> HomoPoly:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     den = lcm(*(c.denominator for c in p.coeffs))
     out = [0] * (p.degree + 1)
-    for c, col in zip(p.coeffs, krawtchouk_columns(p.degree, t)):
+    # columns past the last nonzero coefficient add nothing; the generator comes
+    # first in zip so that its charge runs even for the zero polynomial
+    last = max((i for i, c in enumerate(p.coeffs) if c), default=-1)
+    for col, c in zip(krawtchouk_columns(p.degree, t), p.coeffs[: last + 1]):
         num = c.numerator * (den // c.denominator)
         if num:
             out = [o + num * v for o, v in zip(out, col)]

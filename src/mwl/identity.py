@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import charge
-from .gray import prime_base
 from .homopoly import HomoPoly, substitute_transform
 from .weights import WeightKind, weight_enumerator
 from .zmod import LinearCode, validate_modulus
@@ -74,8 +73,8 @@ def existence_condition(ell: int, kind: WeightKind) -> int | None:
     """The unique multiplier t with t^exponent = ell, if a valid one exists.
 
     For the Lee weight the exponent is floor(ell/2), for the Euclidean
-    weight floor(ell/2)^2; t must additionally be a prime power dividing
-    ell (divisibility is automatic once t^exponent = ell).
+    weight floor(ell/2)^2. Such a t divides ell, and it is always prime:
+    t^exponent = ell with t >= 2 holds only for t in {2, 3}.
     """
     ell = validate_modulus(ell)
     if kind is WeightKind.HAMMING:
@@ -85,7 +84,7 @@ def existence_condition(ell: int, kind: WeightKind) -> int | None:
     if kappa > ell.bit_length() - 1:
         return None
     t = _int_root(ell, kappa)
-    if t >= 2 and t**kappa == ell and prime_base(t) is not None:
+    if t >= 2 and t**kappa == ell:
         return t
     return None
 

@@ -17,7 +17,6 @@ from math import comb, gcd
 import numpy as np
 import sympy
 
-from mwl.errors import LengthMismatch
 from mwl.homopoly import HomoPoly, substitute_transform
 from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
 from mwl.zmod import LinearCode
@@ -186,7 +185,7 @@ def transforms_agree(counts, params: KrawtchoukParams, size: int) -> bool:
     the library's `substitute_transform`, exactly."""
     n = params.n
     if len(counts) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} counts, got {len(counts)}")
+        raise ValueError(f"expected {n + 1} counts, got {len(counts)}")
     poly = substitute_transform(HomoPoly(counts), params.q, size)
     via_sum = tuple(
         Fraction(sum(counts[j] * krawtchouk(k, j, params) for j in range(n + 1)), size)

@@ -10,11 +10,11 @@ import time
 
 from mwl.cli import main
 from mwl.gray import (
+    Field,
     bijective_extension_exists,
     canonical_gray_map,
     is_bijective_extension,
     is_weight_preserving,
-    make_field,
     prime_base,
 )
 from mwl.homopoly import HomoPoly, substitute_transform
@@ -140,9 +140,9 @@ def test_criterion_09_gray_map_fidelity():
     for ell in range(2, 17):
         for m in range(2, ell + 1):
             if ell % m == 0 and prime_base(m) is not None:
-                gmap = canonical_gray_map(ell, make_field(m))
+                gmap = canonical_gray_map(ell, Field(m))
                 assert is_weight_preserving(gmap), (ell, m)
-    z6 = canonical_gray_map(6, make_field(2))
+    z6 = canonical_gray_map(6, Field(2))
     assert z6.table == (
         (0, 0, 0),
         (0, 0, 1),
@@ -157,7 +157,7 @@ def test_criterion_09_gray_map_fidelity():
             if ell % m != 0 or prime_base(m) is None:
                 continue
             if m in SUPPORTED_FIELD_SIZES:
-                ok = is_bijective_extension(canonical_gray_map(ell, make_field(m)))
+                ok = is_bijective_extension(canonical_gray_map(ell, Field(m)))
             else:
                 ok = bijective_extension_exists(ell, m)
             if ok:

@@ -86,6 +86,21 @@ def test_gray_z6_table(capsys):
     )
 
 
+@pytest.mark.parametrize("m", [3001, 100003])
+def test_gray_large_prime_field(capsys, m):
+    # field arithmetic is by rule, so a large prime m builds no m x m table
+    code, out, err = run(capsys, ["gray", "--modulus", "2", "--m", str(m)])
+    assert code == 0 and err == ""
+    assert out == "0 : 0\n1 : 1\n"
+
+
+def test_gray_huge_field_size_exceeds_budget(capsys):
+    # trial division of m is charged floor(sqrt(m)) units, here 10^9
+    code, out, err = run(capsys, ["gray", "--modulus", "2", "--m", str(10**18 + 9)])
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
 def test_gray_verify_map(capsys, tmp_path):
     table = tmp_path / "map.txt"
     table.write_text("0 : 0 0\n1 : 0 1\n2 : 1 1\n3 : 1 0\n")

@@ -1,4 +1,4 @@
-"""Tests for finite field tables and Gray maps."""
+"""Tests for finite field arithmetic and Gray maps."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 
 from mwl.errors import BudgetExceeded, NotPrimePower, budget_limit
 from mwl.gray import (
+    Field,
     GrayMap,
     apply_gray,
     bijective_extension_exists,
@@ -14,7 +15,6 @@ from mwl.gray import (
     image_is_linear,
     is_bijective_extension,
     is_weight_preserving,
-    make_field,
     parse_gray_table,
     prime_base,
 )
@@ -31,23 +31,26 @@ def _prime_power_divisors(ell):
 
 
 def test_small_field_arithmetic():
-    f2 = make_field(2)
+    f2 = Field(2)
     assert f2.add(1, 1) == 0
-    f3 = make_field(3)
+    f3 = Field(3)
     assert f3.add(2, 2) == 1
-    f4 = make_field(4)
+    f4 = Field(4)
     assert f4.mul(2, 2) == 3  # x * x = x + 1 mod x^2+x+1
+    assert Field(8).mul(2, 4) == 3  # x * x^2 = x + 1 mod x^3+x+1
+    assert Field(9).mul(3, 3) == 2  # x * x = -1 mod x^2+1
+    assert Field(16).mul(2, 8) == 3  # x * x^3 = x + 1 mod x^4+x+1
 
 
 def test_field_axioms_all_supported():
     for m in SUPPORTED_FIELD_SIZES:
-        f = make_field(m)
+        f = Field(m)
         elems = range(m)
         for a in elems:
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
             assert f.mul(a, 0) == 0
-            assert f.add(a, f.add_table[a].index(0)) == 0
+            assert any(f.add(a, b) == 0 for b in elems)
             for b in elems:
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
@@ -60,18 +63,18 @@ def test_field_axioms_all_supported():
             assert any(f.mul(a, b) == 1 for b in range(1, m))
 
 
-def test_make_field_rejects_non_prime_powers():
+def test_field_rejects_non_prime_powers():
     for m in (6, 12, 1, 0):
         with pytest.raises((NotPrimePower, ValueError)):
-            make_field(m)
+            Field(m)
     # prime powers without a built-in irreducible polynomial
     for m in (25, 27, 32):
         with pytest.raises(NotPrimePower):
-            make_field(m)
+            Field(m)
 
 
 def test_canonical_table_z6_f2():
-    gmap = canonical_gray_map(6, make_field(2))
+    gmap = canonical_gray_map(6, Field(2))
     assert gmap.table == (
         (0, 0, 0),
         (0, 0, 1),
@@ -83,20 +86,20 @@ def test_canonical_table_z6_f2():
 
 
 def test_canonical_table_z4_f2():
-    gmap = canonical_gray_map(4, make_field(2))
+    gmap = canonical_gray_map(4, Field(2))
     assert gmap.table == ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
 def test_canonical_table_z3_f3():
-    gmap = canonical_gray_map(3, make_field(3))
+    gmap = canonical_gray_map(3, Field(3))
     assert gmap.table == ((0,), (1,), (2,))
 
 
 def test_apply_gray():
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     assert apply_gray(g4, (0, 0)) == (0, 0, 0, 0)
     assert apply_gray(g4, (2, 3)) == (1, 1, 1, 0)
-    g6 = canonical_gray_map(6, make_field(2))
+    g6 = canonical_gray_map(6, Field(2))
     assert apply_gray(g6, (5, 1)) == (1, 0, 0, 0, 0, 1)
     with pytest.raises(ValueError):
         apply_gray(g4, (4,))
@@ -105,18 +108,18 @@ def test_apply_gray():
 def test_canonical_maps_weight_preserving():
     for ell in range(2, 17):
         for m in _prime_power_divisors(ell):
-            gmap = canonical_gray_map(ell, make_field(m))
+            gmap = canonical_gray_map(ell, Field(m))
             assert is_weight_preserving(gmap), (ell, m)
 
 
 def test_non_weight_preserving_table():
-    gmap = GrayMap(4, make_field(2), [(0, 0), (1, 1), (1, 1), (1, 0)])
+    gmap = GrayMap(4, Field(2), [(0, 0), (1, 1), (1, 1), (1, 0)])
     assert not is_weight_preserving(gmap)
 
 
 def test_support_patterns_reverse():
     for ell in range(4, 17):
-        gmap = canonical_gray_map(ell, make_field(2))
+        gmap = canonical_gray_map(ell, Field(2))
         ell1 = ell // 2
         for a in range(1, ell1):
             sup_a = [e != 0 for e in gmap.table[a]]
@@ -127,7 +130,7 @@ def test_support_patterns_reverse():
 def test_weight_preserved_on_random_vectors():
     rng = random.Random(404)
     for ell, m in [(6, 2), (6, 3), (8, 2), (9, 3), (16, 2), (5, 5)]:
-        gmap = canonical_gray_map(ell, make_field(m))
+        gmap = canonical_gray_map(ell, Field(m))
         for _ in range(1000):
             n = rng.randint(1, 6)
             v = tuple(rng.randrange(ell) for _ in range(n))
@@ -136,9 +139,9 @@ def test_weight_preserved_on_random_vectors():
 
 
 def test_bijective_extension_examples():
-    assert is_bijective_extension(canonical_gray_map(4, make_field(2)))
-    assert not is_bijective_extension(canonical_gray_map(6, make_field(2)))
-    assert is_bijective_extension(canonical_gray_map(2, make_field(2)))
+    assert is_bijective_extension(canonical_gray_map(4, Field(2)))
+    assert not is_bijective_extension(canonical_gray_map(6, Field(2)))
+    assert is_bijective_extension(canonical_gray_map(2, Field(2)))
 
 
 def test_bijective_extension_scan_to_100():
@@ -146,7 +149,7 @@ def test_bijective_extension_scan_to_100():
     for ell in range(2, 101):
         for m in _prime_power_divisors(ell):
             if m in SUPPORTED_FIELD_SIZES:
-                ok = is_bijective_extension(canonical_gray_map(ell, make_field(m)))
+                ok = is_bijective_extension(canonical_gray_map(ell, Field(m)))
             else:
                 # field table unavailable, but the size condition ell = m^ell1
                 # already fails for every such pair
@@ -158,22 +161,22 @@ def test_bijective_extension_scan_to_100():
 
 
 def test_image_linearity_trivial_cases():
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     assert image_is_linear(g4, LinearCode(4, 2))  # zero code
-    g2 = canonical_gray_map(2, make_field(2))
+    g2 = canonical_gray_map(2, Field(2))
     for code in all_linear_codes(2, 3):
         assert image_is_linear(g2, code)  # the map is the identity here
 
 
 def test_image_linearity_z4_span11():
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     assert image_is_linear(g4, LinearCode(4, 2, [(1, 1)]))
 
 
 def test_nonlinear_image_exists_over_z4():
     # brute force over all Z4 codes of length <= 3: images stay linear up to
     # length 2, and the first nonlinear image appears at length 3
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     for n in (1, 2):
         assert all(image_is_linear(g4, code) for code in all_linear_codes(4, n))
     nonlinear = [
@@ -194,14 +197,14 @@ def test_nonlinear_image_exists_over_z4():
 
 
 def test_image_modulus_mismatch():
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     with pytest.raises(ValueError):
         image_is_linear(g4, LinearCode(6, 1, [(3,)]))
 
 
 def test_image_linearity_charges_pairs():
     # the span of Z_4^2 charges at most 16 vectors; the 16^2 image pairs exceed 100
-    g4 = canonical_gray_map(4, make_field(2))
+    g4 = canonical_gray_map(4, Field(2))
     full = LinearCode(4, 2, [(1, 0), (0, 1)])
     with budget_limit(100):
         assert full.cardinality() == 16
@@ -213,7 +216,7 @@ def test_image_linearity_charges_pairs():
 
 def test_gray_table_text_roundtrip():
     for ell, m in [(6, 2), (6, 3), (4, 2), (9, 3)]:
-        field = make_field(m)
+        field = Field(m)
         gmap = canonical_gray_map(ell, field)
         text = format_gray_table(gmap)
         back = parse_gray_table(text, field)
@@ -221,12 +224,12 @@ def test_gray_table_text_roundtrip():
 
 
 def test_gray_table_format_exact():
-    text = format_gray_table(canonical_gray_map(4, make_field(2)))
+    text = format_gray_table(canonical_gray_map(4, Field(2)))
     assert text == "0 : 0 0\n1 : 0 1\n2 : 1 1\n3 : 1 0\n"
 
 
 def test_parse_gray_table_errors():
-    field = make_field(2)
+    field = Field(2)
     with pytest.raises(ValueError):
         parse_gray_table("0 : 0 0\n2 : 1 1\n", field)  # gap in residues
     with pytest.raises(ValueError):
@@ -236,7 +239,7 @@ def test_parse_gray_table_errors():
 
 
 def test_graymap_validation():
-    field = make_field(2)
+    field = Field(2)
     with pytest.raises(ValueError):
         GrayMap(4, field, [(0, 0), (0, 1), (1, 1)])  # missing row
     with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from mwl.errors import DegreeMismatch
+from mwl import homopoly
+from mwl.errors import BudgetExceeded, DegreeMismatch, budget_limit
 from mwl.homopoly import (
     HomoPoly,
     from_text,
@@ -42,6 +44,26 @@ def test_transform_monomial():
     for t in (2, 3, 5):
         out = substitute_transform(HomoPoly([1, 0, 0, 0]), t, 1)
         assert out == HomoPoly([1, 3 * (t - 1), 3 * (t - 1) ** 2, (t - 1) ** 3])
+
+
+def test_transform_stops_after_last_nonzero_coefficient(monkeypatch):
+    pulled = []
+    real = homopoly.krawtchouk_columns
+
+    def counting(degree, multiplier):
+        for col in real(degree, multiplier):
+            pulled.append(col)
+            yield col
+
+    monkeypatch.setattr(homopoly, "krawtchouk_columns", counting)
+    D = 300
+    out = substitute_transform(HomoPoly([1] + [0] * D), 3, 1)
+    assert out == HomoPoly([comb(D, k) * 2**k for k in range(D + 1)])
+    # column 0 gives x^D; zip pulls at most one more before the coefficients end
+    assert len(pulled) <= 2
+    # the zero polynomial pulls no column it needs, yet still meets the (D+1)^2 charge
+    with budget_limit(100), pytest.raises(BudgetExceeded):
+        substitute_transform(HomoPoly.zero(10), 2, 1)
 
 
 def test_transform_preserves_degree():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mwl.errors import BudgetExceeded, budget_limit
-from mwl.gray import canonical_gray_map, is_bijective_extension, make_field, prime_base
+from mwl.gray import Field, canonical_gray_map, is_bijective_extension, prime_base
 from mwl.homopoly import HomoPoly, is_nonneg_integer_poly, substitute_transform
 from mwl.identity import (
     IdentityQuery,
@@ -273,7 +273,7 @@ def test_verify_identity_conditions():
     ]
     for ell, m, g, bijective, enumerator, status in cases:
         code = LinearCode(ell, 1, [(g,)])
-        assert is_bijective_extension(canonical_gray_map(ell, make_field(m))) is bijective
+        assert is_bijective_extension(canonical_gray_map(ell, Field(m))) is bijective
         assert _transform_is_enumerator(code, m) is enumerator
         assert check_identity(IdentityQuery(code, LEE, m)).status is status
 

@@ -6,7 +6,6 @@ from math import comb
 
 import pytest
 
-from mwl.errors import LengthMismatch
 from mwl.homopoly import HomoPoly, substitute_transform
 from mwl.krawtchouk import KrawtchoukParams, krawtchouk_matrix
 
@@ -76,7 +75,7 @@ def test_coefficient_transform_examples():
 
 
 def test_coefficient_transform_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="expected 3 counts, got 2"):
         transforms_agree((1, 0), KrawtchoukParams(n=2, q=2), 1)
 
 
