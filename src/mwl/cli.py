@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import sys
 
@@ -151,7 +152,9 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line grammar; built once per process, as parsing leaves it unchanged."""
     parser = _Parser(prog="mwl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,8 +226,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with budget_limit(args.budget), contextlib.redirect_stdout(out):
             status = args.func(args)
-    except (_UsageError, BudgetExceeded, ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, BudgetExceeded, ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        # a MemoryError is an allocation the budget did not foresee: an error, never "Fails"
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     sys.stdout.write(out.getvalue())
     return status

@@ -11,7 +11,8 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import NotPrimePower, charge
-from .weights import lee_weight
+from .identity import existence_condition
+from .weights import WeightKind, lee_weight
 from .zmod import LinearCode
 
 # Irreducible polynomials used for the non-prime field sizes, as coefficient
@@ -180,8 +181,12 @@ def is_weight_preserving(gmap: GrayMap) -> bool:
 
 
 def bijective_extension_exists(ell: int, m: int) -> bool:
-    """Arithmetic core of bijectivity: ell = m^ell1 (sizes can match at all)."""
-    return m >= 2 and m ** (ell // 2) == ell
+    """Arithmetic core of bijectivity: ell = m^ell1 (sizes can match at all).
+
+    That is the Lee existence equation, so it is decided without computing
+    m^ell1; a modulus below 2 raises ValueError, as it does for every Gray map.
+    """
+    return m >= 2 and existence_condition(ell, WeightKind.LEE) == m
 
 
 def is_bijective_extension(gmap: GrayMap) -> bool:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import charge
 from .homopoly import HomoPoly
 from .zmod import LinearCode
@@ -57,6 +55,8 @@ def vector_weight(v: Sequence[int], ell: int, kind: WeightKind) -> int:
 
 def weight_enumerator(code: LinearCode, kind: WeightKind) -> HomoPoly:
     """Homogeneous enumerator of degree scale*n; coefficient i counts weight-i words."""
+    import numpy as np
+
     ell = code.ell
     deg = kind.scale(ell) * code.length
     charge(deg + 1, f"{kind.value} enumerator over Z_{ell}^{code.length}")

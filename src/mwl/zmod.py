@@ -11,11 +11,12 @@ truncating.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import charge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def validate_modulus(ell: int) -> int:
@@ -27,7 +28,36 @@ def validate_modulus(ell: int) -> int:
 
 def _dtype_for(bound: int) -> type:
     """int64 if every intermediate value is at most `bound`, else exact Python ints."""
+    import numpy as np
+
     return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+def _numeral_keys(words: np.ndarray, ell: int) -> np.ndarray:
+    """Each row of residues read as one base-ell numeral, so key order is lex order.
+
+    The keys are int64 while ell^n fits and exact Python ints past that. The
+    digits are read in blocks whose values fit int64, so past int64 the
+    Python-int work is one step per block, not one per digit.
+    """
+    import numpy as np
+
+    n = words.shape[1]
+    width = 1
+    while width < n and _dtype_for(ell ** (width + 1) - 1) is np.int64:
+        width += 1
+    keys = None
+    for j in range(0, n, width):
+        block = words[:, j : j + width]
+        w = block.shape[1]
+        dtype = _dtype_for(ell**w - 1)
+        place = np.array([ell ** (w - 1 - i) for i in range(w)], dtype=dtype)
+        value = block.astype(dtype, copy=False) @ place
+        if keys is None:
+            keys = value.astype(_dtype_for(ell**n - 1), copy=False)
+        else:
+            keys = keys * ell**w + value
+    return keys
 
 
 def _diagonal_form(
@@ -131,7 +161,11 @@ class LinearCode:
 
     def _span_array(self) -> np.ndarray:
         """Every codeword, as a lex-sorted matrix of rows: the basis is independent,
-        so each codeword is one sum of c_i times row i, with 0 <= c_i < order_i."""
+        so each codeword is one sum of c_i times row i, with 0 <= c_i < order_i.
+        The codewords are distinct, so one argsort of their numeral keys sorts them.
+        """
+        import numpy as np
+
         rows, orders = self._basis_pair()[0]
         ell, n = self.ell, self.length
         size = math.prod(orders)
@@ -142,7 +176,7 @@ class LinearCode:
         words = coeffs.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).reshape(-1, n)
         del coeffs  # free the coefficients before the sort copies the words
         words %= ell
-        return words[np.lexsort(words.T[::-1])]
+        return words[np.argsort(_numeral_keys(words, ell))]
 
     def codeword_array(self) -> np.ndarray:
         """All codewords as rows of a lex-sorted matrix: int64, or object past int64."""
@@ -171,6 +205,8 @@ class LinearCode:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
+        import numpy as np
+
         return (
             self.ell == other.ell
             and self.length == other.length

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mwl.cli import main
+from mwl.cli import _build_parser, main
+from mwl.zmod import LinearCode
 
 Z6_CODE = "modulus 6\nlength 1\ngen 3\n"
 Z4_CODE = "modulus 4\nlength 1\ngen 2\n"
@@ -413,3 +418,55 @@ def test_shiromoto_big_modulus_is_not_well_formed(capsys, tmp_path, ell, weight)
     code, out, _ = run(capsys, ["shiromoto", "--code", str(spec), "--weight", weight])
     assert code == 2
     assert out == "verdict=NotWellFormed reason=MultiplierNotIntegral discrepancy=none\n"
+
+
+def test_memory_error_is_not_a_verdict(capsys, monkeypatch, z6_file):
+    def no_memory(self):
+        raise MemoryError()
+
+    monkeypatch.setattr(LinearCode, "_span_array", no_memory)
+    code, out, err = run(capsys, ["enumerate", "--code", z6_file])
+    assert code == 3
+    assert out == "" and err == "error: MemoryError\n"
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, z4_file, z6_file):
+    code, out, _ = run(capsys, ["enumerate", "--code", z6_file, "--budget", "1"])
+    assert code == 3 and out == ""
+    assert run(capsys, ["enumerate", "--code", z6_file]) == (0, "0\n3\n", "")
+    check = ["check", "--code", z4_file, "--weight", "lee", "--m", "2"]
+    before = run(capsys, check)
+    assert run(capsys, ["kraw", "--q", "3", "--n", "2"])[0] == 0
+    assert run(capsys, check) == before
+
+
+# Commands that span no code; none of them, nor `import mwl.cli`, loads numpy.
+NUMPY_FREE_COMMANDS = [
+    [],
+    ["transform", "--poly", "deg 2; 0:1 2:3", "--m", "2"],
+    ["kraw", "--q", "4", "--n", "3"],
+    ["scan", "--weight", "lee", "--max", "50"],
+    ["gray", "--modulus", "4", "--m", "2"],
+    ["search", "--modulus", "2", "--weight", "lee", "--m", "2", "--max-length", "6"],
+]
+_REPORT_NUMPY = (
+    "import sys, mwl.cli\n"
+    "rc = mwl.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print('numpy' in sys.modules)\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: (argv or ["import"])[0])
+def test_command_runs_without_numpy(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

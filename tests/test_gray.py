@@ -1,6 +1,7 @@
 """Tests for finite field arithmetic and Gray maps."""
 
 import random
+import time
 
 import pytest
 
@@ -158,6 +159,17 @@ def test_bijective_extension_scan_to_100():
             if ok:
                 hits.append((ell, m))
     assert hits == [(2, 2), (3, 3), (4, 2)]
+
+
+def test_bijective_extension_exists_skips_the_power():
+    # 3^(5 * 10^7) would have about 24 million digits; the rule needs none of them
+    start = time.perf_counter()
+    assert not bijective_extension_exists(10**8, 3)
+    assert not bijective_extension_exists(2**4000, 2)
+    assert time.perf_counter() - start < 1.0
+    assert bijective_extension_exists(4, 2) and not bijective_extension_exists(4, 4)
+    with pytest.raises(ValueError):
+        bijective_extension_exists(1, 2)
 
 
 def test_image_linearity_trivial_cases():

@@ -1,6 +1,7 @@
 """Tests for Z_ell vector spans, duals and code-spec text, and for the reference
 subgroup lattice walk in `oracles` that other tests iterate over."""
 
+import itertools
 import math
 import random
 
@@ -192,6 +193,51 @@ def test_object_dtype_codewords_strictly_lex_ordered():
         tuple((a * x + b * y) % ell for x, y in zip(g, h)) for a in range(8) for b in range(4)
     }
     assert words == tuple(sorted(combos))
+
+
+def _sums_of_multiples(gens, ell):
+    """Every sum of a_i g_i with 0 <= a_i < the order of g_i: the span, without a diagonal form."""
+    orders = [ell // math.gcd(ell, *g) for g in gens]
+    return {
+        tuple(sum(a * x for a, x in zip(coeffs, column)) % ell for column in zip(*gens))
+        for coeffs in itertools.product(*map(range, orders))
+    }
+
+
+def _random_gens(seed, ell, n, k, step):
+    rng = random.Random(seed)
+    return [[step * rng.randrange(ell // step) for _ in range(n)] for _ in range(k)]
+
+
+def _block_edge_gens(ell, n, width):
+    """A unit vector on the last digit of the first int64 block of `width` digits, and
+    ell - 1 on every digit after it: words whose first blocks differ by one."""
+    return [[int(j == width - 1) for j in range(n)], [(ell - 1) * (j >= width) for j in range(n)]]
+
+
+# (ell, n, generators, word dtype): every ell^n is past int64, so the sort key is a Python int
+KEY_BOUNDARY_CASES = [
+    (2, 70, _block_edge_gens(2, 70, 62) + _random_gens(1, 2, 70, 1, 1), np.int64),
+    (3, 45, _block_edge_gens(3, 45, 39) + _random_gens(2, 3, 45, 1, 1), np.int64),
+    (2**32, 2, _random_gens(3, 2**32, 2, 2, 2**29), np.int64),
+    (3 * 2**21, 3, _random_gens(4, 3 * 2**21, 3, 1, 3 * 2**18) + [[2**21, 0, 2**22]], np.int64),
+    (2**64, 2, [[2**62, 2**63], [2**63, 3 * 2**62]], object),
+    (3 * 2**61, 3, [[3 * 2**59, 0, 2**61], [2**61, 3 * 2**60, 0]], object),
+]
+
+
+@pytest.mark.parametrize(
+    "ell, n, gens, dtype", KEY_BOUNDARY_CASES, ids=[f"Z_{c[0]}^{c[1]}" for c in KEY_BOUNDARY_CASES]
+)
+def test_span_sort_key_past_int64(ell, n, gens, dtype):
+    assert _dtype_for(ell**n - 1) is object
+    array = LinearCode(ell, n, gens).codeword_array()
+    assert array.dtype == dtype
+    words = list(map(tuple, array.tolist()))
+    assert all(u < v for u, v in zip(words, words[1:]))
+    assert words == sorted(_sums_of_multiples(gens, ell))
+    if ell ** len(gens) <= 10**4:
+        assert words == sorted(brute_span(gens, ell, n))
 
 
 def test_dtype_rule_boundary():
